@@ -1,12 +1,25 @@
 """Oracle-grade consistency checkers for the four notions.
 
-check_domain and check_bounds_d enumerate supports from the actual sets,
-check_bounds_z from the enclosing integer box; all three are literal
-exhaustive scans in lexicographic-ascending order (first support found is
-the reported witness).  check_bounds_r decides real support by exact
-closed forms over rationals: interval feasibility for linear constraints,
-point-interval counting for alldifferent, corner evaluation for the product
-and monotone-function constraints.  No floating point anywhere.
+A notion is fixed by two facts, and this module is the one place that
+states them:
+
+    notion     values needing support   supports searched in
+    domain     every value              the actual sets
+    bounds-d   inf and sup              the actual sets
+    bounds-z   inf and sup              the integer boxes [inf, sup]
+    bounds-r   inf and sup              the real boxes [inf, sup]
+
+`needs_support` gives the first column, `candidates` the second (None for
+the real boxes), `sees_holes` whether the second column reads the sets.
+`check` is one loop over the variables and the values needing support; the
+propagators and the engine read the same three functions.
+
+Integer supports are literal exhaustive scans in lexicographic-ascending
+order (first support found is the reported witness).  Real supports are
+decided by exact closed forms over rationals: interval feasibility for
+linear constraints, point-interval counting for alldifferent, corner
+evaluation for the product and monotone-function constraints.  No floating
+point anywhere.  A support of var=value never reads var's own set.
 
 The linear scans switch to a chunked numpy enumeration above ~1000
 candidate tuples.  The vectorized path visits exactly the same tuples in
@@ -40,13 +53,13 @@ from .constraints import (
     mono_increasing,
     mono_inverse_frac,
     mono_requires_nonneg,
-    real_defined,
     sat_int,
     vars_of,
 )
 from .domains import (
     INT64_MAX,
     Domain,
+    IntSet,
     Valuation,
     VarId,
     checked_add,
@@ -382,78 +395,73 @@ def _real_support(
         return _real_support_product(d, c, pin, value)
     if isinstance(c, MonoBij):
         return _real_support_monobij(d, c, pin, value)
-    raise RealSemanticsUndefined(f"{type(c).__name__} has no real semantics")
+    raise RealSemanticsUndefined(
+        f"{type(c).__name__} has no real semantics; bounds(R) undefined"
+    )
 
 
 # --------------------------------------------------------------------------
-# notion checkers
+# the notion table and the checker
 
 
-def _bounds_of(d: Domain, v: VarId) -> tuple[int, ...]:
-    s = d.get(v)
+def needs_support(s: IntSet, notion: ConsistencyNotion) -> tuple[int, ...]:
+    """The values of s that must have a support at `notion`."""
+    if notion is ConsistencyNotion.DOMAIN:
+        return s.values
     return (s.inf,) if s.inf == s.sup else (s.inf, s.sup)
+
+
+def sees_holes(notion: ConsistencyNotion) -> bool:
+    """Whether supports come from the actual sets, so that holes matter."""
+    return notion in (ConsistencyNotion.DOMAIN, ConsistencyNotion.BOUNDS_D)
+
+
+def candidates(d: Domain, notion: ConsistencyNotion) -> CandidateFn | None:
+    """Where supports are searched; None stands for the real boxes."""
+    if sees_holes(notion):
+        return lambda v: d.get(v).values
+    if notion is ConsistencyNotion.BOUNDS_Z:
+        return lambda v: range(d.inf(v), d.sup(v) + 1)
+    return None
+
+
+def support(
+    d: Domain, c: Constraint, notion: ConsistencyNotion, var: VarId, value: int
+) -> SupportWitness:
+    """Support verdict for var=value at `notion`; never reads var's own set."""
+    cands = candidates(d, notion)
+    if cands is None:
+        supported, w = _real_support(d, c, var, value)
+        return SupportWitness(var, value, supported, w)
+    w = _find_int_support(c, var, value, cands)
+    return SupportWitness(var, value, w is not None, w)
+
+
+def check(d: Domain, c: Constraint, notion: ConsistencyNotion) -> CheckResult:
+    """Every value that `notion` names has a support where `notion` searches."""
+    witnesses = tuple(
+        support(d, c, notion, var, value)
+        for var in vars_of(c)
+        for value in needs_support(d.get(var), notion)
+    )
+    return CheckResult(all(w.supported for w in witnesses), witnesses)
 
 
 def check_domain(d: Domain, c: Constraint) -> CheckResult:
     """Every value of every variable has an integral support in the sets."""
-    witnesses = []
-    ok = True
-    sets: CandidateFn = lambda v: d.get(v).values
-    for var in vars_of(c):
-        for value in d.get(var):
-            w = _find_int_support(c, var, value, sets)
-            witnesses.append(SupportWitness(var, value, w is not None, w))
-            ok = ok and w is not None
-    return CheckResult(ok, tuple(witnesses))
+    return check(d, c, ConsistencyNotion.DOMAIN)
 
 
 def check_bounds_d(d: Domain, c: Constraint) -> CheckResult:
     """Each variable's inf and sup has an integral support in the sets."""
-    witnesses = []
-    ok = True
-    sets: CandidateFn = lambda v: d.get(v).values
-    for var in vars_of(c):
-        for value in _bounds_of(d, var):
-            w = _find_int_support(c, var, value, sets)
-            witnesses.append(SupportWitness(var, value, w is not None, w))
-            ok = ok and w is not None
-    return CheckResult(ok, tuple(witnesses))
+    return check(d, c, ConsistencyNotion.BOUNDS_D)
 
 
 def check_bounds_z(d: Domain, c: Constraint) -> CheckResult:
     """Each variable's inf and sup has an integral support within the boxes."""
-    witnesses = []
-    ok = True
-    box: CandidateFn = lambda v: range(d.inf(v), d.sup(v) + 1)
-    for var in vars_of(c):
-        for value in _bounds_of(d, var):
-            w = _find_int_support(c, var, value, box)
-            witnesses.append(SupportWitness(var, value, w is not None, w))
-            ok = ok and w is not None
-    return CheckResult(ok, tuple(witnesses))
+    return check(d, c, ConsistencyNotion.BOUNDS_Z)
 
 
 def check_bounds_r(d: Domain, c: Constraint) -> CheckResult:
     """Each variable's inf and sup has a real support within the boxes."""
-    if not real_defined(c):
-        raise RealSemanticsUndefined(
-            f"{type(c).__name__} has no real semantics; bounds(R) undefined"
-        )
-    witnesses = []
-    ok = True
-    for var in vars_of(c):
-        for value in _bounds_of(d, var):
-            supported, w = _real_support(d, c, var, value)
-            witnesses.append(SupportWitness(var, value, supported, w))
-            ok = ok and supported
-    return CheckResult(ok, tuple(witnesses))
-
-
-def check(d: Domain, c: Constraint, notion: ConsistencyNotion) -> CheckResult:
-    if notion is ConsistencyNotion.DOMAIN:
-        return check_domain(d, c)
-    if notion is ConsistencyNotion.BOUNDS_D:
-        return check_bounds_d(d, c)
-    if notion is ConsistencyNotion.BOUNDS_Z:
-        return check_bounds_z(d, c)
-    return check_bounds_r(d, c)
+    return check(d, c, ConsistencyNotion.BOUNDS_R)

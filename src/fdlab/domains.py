@@ -9,6 +9,7 @@ integers and `fractions.Fraction`; floating point is never consulted.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -91,7 +92,8 @@ class IntSet:
         return len(self.values) == 1
 
     def __contains__(self, v: int) -> bool:
-        return v in set(self.values) if len(self.values) > 8 else v in self.values
+        i = bisect_left(self.values, v)
+        return i < len(self.values) and self.values[i] == v
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.values)

@@ -2,11 +2,12 @@
 
 The engine runs single-constraint propagators to a common fixpoint with a
 FIFO queue deduplicated per propagator.  Re-queueing is event-filtered:
-bounds(Z)/bounds(R) propagators only react to bound changes of their
-variables, domain/bounds(D) propagators also react to interior holes.
-Filtering is lossless and the fixpoint is queue-order independent; both
-facts are exercised by tests via the `filter_events` and `queue_policy`
-knobs.
+every propagator reacts to bound changes of its variables, and only those
+whose notion searches supports in the actual sets (`checkers.sees_holes`:
+domain, bounds(D)) also react to interior holes.  Filtering is lossless and
+the fixpoint is queue-order independent; both facts are exercised by tests
+via the `filter_events` and `queue_policy` knobs.  A failed fixpoint prunes
+nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .checkers import ConsistencyNotion
+from .checkers import ConsistencyNotion, sees_holes
 from .constraints import Constraint, MonoBij, ReifLinLe, mono_requires_nonneg, real_defined, vars_of
 from .domains import Domain, IntSet, VarId
 from .propagators import PropagationResult, propagate
@@ -143,9 +144,7 @@ def _diff_events(old: Domain, new: Domain, vars_: tuple[VarId, ...]) -> list[Eve
 
 
 def _wakes(notion: ConsistencyNotion, kinds: set[EventKind]) -> bool:
-    if notion in (ConsistencyNotion.BOUNDS_Z, ConsistencyNotion.BOUNDS_R):
-        return bool(kinds & _BOUND_KINDS)
-    return bool(kinds)
+    return sees_holes(notion) or bool(kinds & _BOUND_KINDS)
 
 
 def _run(
@@ -162,7 +161,7 @@ def _run(
 
     pending = deque(range(len(m.constraints)))
     queued = set(pending)
-    removed: dict[VarId, list[int]] = {}
+    start = d
     records: list[TraceRecord] = []
 
     while pending:
@@ -173,10 +172,8 @@ def _run(
         queued.discard(i)
         c, notion = m.constraints[i]
         res = propagate(d, c, notion)
-        for v, vals in res.pruned:
-            removed.setdefault(v, []).extend(vals)
         if res.failed:
-            return PropagationResult(None, _sorted_pruned(removed)), records
+            return res, records
         events = _diff_events(d, res.domain, vars_of(c))
         if events:
             if record:
@@ -193,17 +190,7 @@ def _run(
                         pending.append(j)
                         queued.add(j)
         d = res.domain
-    return PropagationResult(d, _sorted_pruned(removed)), records
-
-
-def _sorted_pruned(
-    removed: dict[VarId, list[int]]
-) -> tuple[tuple[VarId, tuple[int, ...]], ...]:
-    return tuple(
-        (v, tuple(sorted(vals)))
-        for v, vals in sorted(removed.items(), key=lambda kv: kv[0].index)
-        if vals
-    )
+    return PropagationResult.between(start, d, m.vars), records
 
 
 def propagate_all(

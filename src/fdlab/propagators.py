@@ -1,11 +1,14 @@
 """Single-constraint propagators for the four notions.
 
-propagate() computes the greatest fixpoint by deleting unsupported values:
-all unsupported values for the domain notion, unsupported endpoint values
-for the three bounds notions (which keeps interior holes intact, so the
-bounds(Z)/bounds(R) results are range-shaped prunings of the input).
-Deletion order does not affect the result; the test suite certifies this
-against an exhaustive deletion-order oracle.
+propagate() computes the greatest fixpoint by deleting unsupported values,
+with one revise loop for all four notions.  A support of var=value never
+reads var's own set, so one revise of var against the current domain makes
+var consistent: the domain notion keeps every supported value, the bounds
+notions trim unsupported values from both ends (which keeps interior holes
+intact, so bounds results are range-shaped prunings of the input).  Which
+values need support and where supports are searched come from the notion
+table in `checkers`.  Deletion order does not affect the result; the test
+suite certifies this against an exhaustive deletion-order oracle.
 
 propagate_linear_br() is the practical counterpart for linear constraints:
 O(n) bound shaving per pass with exact rational division and inward
@@ -17,28 +20,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .checkers import (
-    CandidateFn,
     ConsistencyNotion,
     _find_int_support,
     _real_support,
+    candidates,
 )
 from .constraints import (
     Constraint,
     LinEq,
     LinLe,
     LinNe,
-    RealSemanticsUndefined,
-    real_defined,
     vars_of,
 )
-from .domains import Domain, VarId, checked_add, checked_mul
+from .domains import Domain, IntSet, VarId, checked_add, checked_mul
 
 
 @dataclass(frozen=True)
 class PropagationResult:
-    """Fixpoint domain (None on failure) plus per-variable removed values."""
+    """Fixpoint domain (None on failure) plus per-variable removed values.
+
+    A failed result prunes nothing: `pruned` is ().
+    """
 
     domain: Domain | None
     pruned: tuple[tuple[VarId, tuple[int, ...]], ...]
@@ -47,75 +52,64 @@ class PropagationResult:
     def failed(self) -> bool:
         return self.domain is None
 
-
-def _result(
-    domain: Domain | None, removed: dict[VarId, list[int]]
-) -> PropagationResult:
-    pruned = tuple(
-        (v, tuple(sorted(vals)))
-        for v, vals in sorted(removed.items(), key=lambda kv: kv[0].index)
-        if vals
-    )
-    return PropagationResult(domain, pruned)
-
-
-def _supported(
-    d: Domain, c: Constraint, notion: ConsistencyNotion, var: VarId, value: int
-) -> bool:
-    if notion is ConsistencyNotion.BOUNDS_R:
-        return _real_support(d, c, var, value)[0]
-    if notion is ConsistencyNotion.BOUNDS_Z:
-        box: CandidateFn = lambda v: range(d.inf(v), d.sup(v) + 1)
-        return _find_int_support(c, var, value, box) is not None
-    sets: CandidateFn = lambda v: d.get(v).values
-    return _find_int_support(c, var, value, sets) is not None
+    @classmethod
+    def between(
+        cls, before: Domain, after: Domain | None, vars_: Iterable[VarId]
+    ) -> "PropagationResult":
+        """`after`, with the values of `vars_` it lost from `before`."""
+        if after is None:
+            return cls(None, ())
+        pruned = []
+        for v in sorted(set(vars_)):
+            old, new = before.get(v), after.get(v)
+            gone = () if old is new else tuple(x for x in old if x not in new)
+            if gone:
+                pruned.append((v, gone))
+        return cls(after, tuple(pruned))
 
 
 def propagate(
     d: Domain, c: Constraint, notion: ConsistencyNotion
 ) -> PropagationResult:
-    if notion is ConsistencyNotion.BOUNDS_R and not real_defined(c):
-        raise RealSemanticsUndefined(
-            f"{type(c).__name__} has no real semantics; bounds(R) undefined"
-        )
-    removed: dict[VarId, list[int]] = {}
+    """Greatest subdomain of d consistent with c at `notion`, or failure.
+
+    Variables are revised round-robin until every one has been revised
+    since the last narrowing.  bounds(R) on a constraint without real
+    semantics raises RealSemanticsUndefined.
+    """
+    before = d
     cvars = vars_of(c)
+    stable = i = 0
+    while stable < len(cvars):
+        var = cvars[i % len(cvars)]
+        i += 1
+        cands = candidates(d, notion)
 
-    if notion is ConsistencyNotion.DOMAIN:
-        while True:
-            stale = [
-                (var, val)
-                for var in cvars
-                for val in d.get(var)
-                if not _supported(d, c, notion, var, val)
-            ]
-            if not stale:
-                return _result(d, removed)
-            for var, val in stale:
-                removed.setdefault(var, []).append(val)
-                shrunk = d.get(var).remove(val)
-                if shrunk is None:
-                    return _result(None, removed)
-                d = d.with_set(var, shrunk)
+        # Not checkers.support: both searches are looked up in this module
+        # at call time, so that profilers can wrap them here.
+        def supported(value: int) -> bool:
+            if cands is None:
+                return _real_support(d, c, var, value)[0]
+            return _find_int_support(c, var, value, cands) is not None
 
-    # bounds notions: peel unsupported endpoints until every bound has support
-    changed = True
-    while changed:
-        changed = False
-        for var in cvars:
-            for side in ("inf", "sup"):
-                while True:
-                    s = d.get(var)
-                    value = s.inf if side == "inf" else s.sup
-                    if _supported(d, c, notion, var, value):
-                        break
-                    removed.setdefault(var, []).append(value)
-                    shrunk = s.remove(value)
-                    if shrunk is None:
-                        return _result(None, removed)
-                    d = d.with_set(var, shrunk)
-                    changed = True
-    return _result(d, removed)
+        values = d.get(var).values
+        if notion is ConsistencyNotion.DOMAIN:
+            kept = tuple(x for x in values if supported(x))
+        else:
+            lo, hi = 0, len(values) - 1
+            while lo <= hi and not supported(values[lo]):
+                lo += 1
+            while hi > lo and not supported(values[hi]):
+                hi -= 1
+            kept = values[lo : hi + 1]
+        if len(kept) == len(values):
+            stable += 1
+            continue
+        if not kept:
+            return PropagationResult(None, ())
+        d = d.with_set(var, IntSet(kept))
+        stable = 1
+    return PropagationResult.between(before, d, cvars)
 
 
 def _shave_bounds(
@@ -161,50 +155,14 @@ def propagate_linear_br(d: Domain, c: Constraint) -> PropagationResult:
     """bounds(R) fixpoint of a single linear constraint by bound shaving."""
     if not isinstance(c, (LinEq, LinLe, LinNe)):
         raise ValueError("propagate_linear_br only handles linear constraints")
+    if isinstance(c, LinNe):
+        return propagate(d, c, ConsistencyNotion.BOUNDS_R)
     before = d
     terms = [(t.var, t.coeff) for t in c.terms]
-
-    if isinstance(c, LinNe):
-        # over the reals a disequality only bites when every other variable
-        # is pinned; then the single forbidden value can shave an endpoint
-        changed = True
-        while changed and d is not None:
-            changed = False
-            for var, a in terms:
-                if any(
-                    d.inf(ov) != d.sup(ov) for ov, _ in terms if ov != var
-                ):
-                    continue
-                s_fixed = sum(
-                    checked_mul(oa, d.inf(ov)) for ov, oa in terms if ov != var
-                )
-                forbidden = Fraction(c.rhs - s_fixed, a)
-                if forbidden.denominator != 1:
-                    continue
-                fv = forbidden.numerator
-                s = d.get(var)
-                if fv == s.inf or fv == s.sup:
-                    shrunk = s.remove(fv)
-                    if shrunk is None:
-                        d = None
-                        break
-                    d = d.with_set(var, shrunk)
-                    changed = True
-            if d is None:
-                break
-    else:
-        while d is not None:
-            nxt = _shave_bounds(d, terms, c.rhs, isinstance(c, LinEq))
-            if nxt is None or nxt is d or nxt.sets == d.sets:
-                d = nxt
-                break
+    while d is not None:
+        nxt = _shave_bounds(d, terms, c.rhs, isinstance(c, LinEq))
+        if nxt is None or nxt is d or nxt.sets == d.sets:
             d = nxt
-
-    if d is None:
-        return PropagationResult(None, ())
-    removed: dict[VarId, list[int]] = {}
-    for var, _ in terms:
-        gone = sorted(set(before.get(var).values) - set(d.get(var).values))
-        if gone:
-            removed[var] = gone
-    return _result(d, removed)
+            break
+        d = nxt
+    return PropagationResult.between(before, d, (t.var for t in c.terms))

@@ -23,6 +23,8 @@ class BranchStrategy(Enum):
 
 @dataclass
 class SearchStats:
+    """Search counters; `pruned` counts deletions at nodes that did not fail."""
+
     nodes: int = 0
     failures: int = 0
     solutions: int = 0

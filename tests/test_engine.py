@@ -9,10 +9,12 @@ from fdlab import (
     Domain,
     IntSet,
     LinEq,
+    LinLe,
     LinTerm,
     Mod,
     MonoBij,
     PowK,
+    PropagationResult,
     ReifLinLe,
     VarId,
     format_trace,
@@ -62,6 +64,23 @@ def test_failure_propagates_out():
     )
     res = propagate_all(m)
     assert res.failed and res.domain is None
+
+
+def test_failed_fixpoint_prunes_nothing_under_either_queue_policy():
+    # fifo prunes x with c1 before c2 fails, lifo prunes y with c3 first
+    x, y, z = make_vars(3)
+    m = Model.build(
+        [(v.name, IntSet.interval(0, 3)) for v in (x, y, z)],
+        [
+            (LinLe((LinTerm(1, x),), 1), N.DOMAIN),
+            (LinEq((LinTerm(1, x), LinTerm(1, y), LinTerm(1, z)), 20), N.BOUNDS_R),
+            (LinLe((LinTerm(1, y),), 1), N.DOMAIN),
+        ],
+    )
+    failed = PropagationResult(None, ())
+    assert propagate_all(m, queue_policy="fifo") == failed
+    assert propagate_all(m, queue_policy="lifo") == failed
+    assert trace(m, queue_policy="lifo")[0] == failed
 
 
 def random_model(rng, nvars=3):

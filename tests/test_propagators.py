@@ -14,6 +14,7 @@ from fdlab import (
     Domain,
     IntSet,
     LinEq,
+    LinLe,
     LinNe,
     LinTerm,
     Mod,
@@ -22,7 +23,7 @@ from fdlab import (
     propagate,
     propagate_linear_br,
 )
-from fdlab.checkers import ConsistencyNotion, check
+from fdlab.checkers import ConsistencyNotion, check, support
 from fdlab.constraints import AllDifferent, real_defined
 from fdlab.oracle import oracle_fixpoint
 
@@ -130,6 +131,56 @@ def test_failure_reported_as_failed_result():
     x = make_vars(1)[0]
     res = propagate(d, LinEq((LinTerm(1, x),), 9), ConsistencyNotion.DOMAIN)
     assert res.failed and res.domain is None
+
+
+def test_failed_propagation_prunes_nothing():
+    x, y = make_vars(2)
+    c = LinEq((LinTerm(1, x), LinTerm(1, y)), 20)
+    d = Domain((IntSet.interval(0, 3), IntSet.interval(0, 3)))
+    for notion in NOTIONS:
+        res = propagate(d, c, notion)
+        assert res.failed and res.pruned == ()
+    assert propagate_linear_br(d, c) == propagate(d, c, ConsistencyNotion.BOUNDS_R)
+
+
+def test_revise_builds_one_intset_per_narrowed_variable(monkeypatch):
+    # only x narrows, from 1000 values to [0,8]
+    x, y = make_vars(2)
+    c = LinLe((LinTerm(1, x), LinTerm(-1, y)), 3)
+    d = Domain((IntSet.interval(0, 999), IntSet.interval(0, 5)))
+    builds = []
+    post_init = IntSet.__post_init__
+
+    def counting(self):
+        builds.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(IntSet, "__post_init__", counting)
+    for notion in NOTIONS:
+        builds.clear()
+        res = propagate(d, c, notion)
+        assert res.domain.get(x).values == tuple(range(9))
+        assert res.domain.get(y) is d.get(y)
+        assert len(builds) <= 1, notion
+
+
+def test_support_never_reads_the_pinned_variables_own_set():
+    # the single-pass revise in propagate relies on this
+    rng = fresh_rng(26)
+    for _ in range(120):
+        n = rng.randint(1, 3)
+        vs = make_vars(n)
+        c = random_int_constraint(rng, vs)
+        d = random_domain(rng, n, max_size=4)
+        for notion in NOTIONS:
+            if notion is ConsistencyNotion.BOUNDS_R and not real_defined(c):
+                continue
+            for var in vs:
+                for value in d.get(var):
+                    pinned = d.with_set(var, IntSet((value,)))
+                    assert support(d, c, notion, var, value) == support(
+                        pinned, c, notion, var, value
+                    )
 
 
 def test_real_propagation_rejects_integer_only_constraints():
