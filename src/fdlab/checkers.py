@@ -14,28 +14,33 @@ the real boxes), `sees_holes` whether the second column reads the sets.
 `check` is one loop over the variables and the values needing support; the
 propagators and the engine read the same three functions.
 
-Integer supports are literal exhaustive scans in lexicographic-ascending
-order (first support found is the reported witness).  Real supports are
-decided by exact closed forms over rationals: interval feasibility for
-linear constraints, point-interval counting for alldifferent, corner
-evaluation for the product and monotone-function constraints.  No floating
-point anywhere.  A support of var=value never reads var's own set.
+The reported integer support is the lexicographically first one, with
+each variable's candidates in ascending order.  Real supports are decided
+by exact closed forms over rationals: interval feasibility for linear
+constraints, point-interval counting for alldifferent, corner evaluation
+for the product and monotone-function constraints.  No floating point
+anywhere.  A support of var=value never reads var's own set.
 
-The linear scans switch to a chunked numpy enumeration above ~1000
-candidate tuples.  The vectorized path visits exactly the same tuples in
-exactly the same order as the pure-Python scan and is only taken when the
-partial sums provably fit in int64.
+Non-linear integer supports are found by a scan in lex order.  Linear ones
+are searched exactly, with Python ints, for the same first support:
+`<=` and `!=` by a greedy that gives each variable its first value that the
+remaining variables can still complete (polynomial), `=` by meet in the
+middle (exponential in half the variables, as bounds(Z) checking of a
+linear equation is NP-hard).  Where its tables would be large, a
+depth-first walk that solves the last variable by division goes first, for
+a bounded time, so that an early support over wide ranges costs no table.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
 
 from .constraints import (
     AllDifferent,
@@ -57,7 +62,6 @@ from .constraints import (
     vars_of,
 )
 from .domains import (
-    INT64_MAX,
     Domain,
     IntSet,
     Valuation,
@@ -95,94 +99,193 @@ class CheckResult(NamedTuple):
 
 
 # --------------------------------------------------------------------------
-# integer support scans
+# integer supports
+#
+# Candidate values come as a step-1 range or a sorted tuple, and linear
+# coefficients are non-zero (LinTerm rejects 0).
 
-_NUMPY_MIN_TUPLES = 1025
-_CHUNK = 1 << 16
+# bound only because perfbench/tracing.py wraps this name (ROADMAP item 4)
+_scan_linear_np = None
+
+_TABLE_CAP = 1 << 18  # most sums a meet-in-the-middle table or list holds
+_EAGER_COST = 1 << 16  # meet in the middle of at most this cost runs without a walk
 
 
-def _cmp(acc: int, target: int, op: str) -> bool:
-    if op == "eq":
-        return acc == target
-    if op == "le":
-        return acc <= target
-    return acc != target
+class _OutOfBudget(Exception):
+    """A walk of `_lex_walk` tried as many values as it was allowed."""
+
+
+def _size(vs: Sequence[int]) -> int:
+    # a range may hold more values than len() accepts
+    return vs.stop - vs.start if isinstance(vs, range) else len(vs)
+
+
+def _first_at_least(vs: Sequence[int], x: int) -> int | None:
+    """First value of vs that is >= x, or None."""
+    if isinstance(vs, range):
+        v = max(vs.start, x)
+        return v if v < vs.stop else None
+    i = bisect_left(vs, x)
+    return vs[i] if i < len(vs) else None
+
+
+def _window(vs: Sequence[int], a: int, rest: int, lo: int, hi: int) -> range:
+    """Positions in vs of the values v with lo <= rest - a*v <= hi."""
+    if a < 0:
+        a, rest, lo, hi = -a, -rest, -hi, -lo
+    vlo, vhi = -((hi - rest) // a), (rest - lo) // a
+    if isinstance(vs, range):
+        return range(max(vlo, vs.start) - vs.start, min(vhi + 1, vs.stop) - vs.start)
+    return range(bisect_left(vs, vlo), bisect_right(vs, vhi))
+
+
+def _greedy(
+    free_vals: list[Sequence[int]], coeffs: list[int], target: int, op: str
+) -> tuple[int, ...] | None:
+    # Each variable takes its first value that the terms after it can still
+    # complete: for le, when their least sum fits the remainder; for ne,
+    # unless they reach one sum only and it is the forbidden remainder.
+    n = len(free_vals)
+    least = [0] * (n + 1)  # least[i]: least sum of the terms i..n-1
+    single = [True] * (n + 1)  # single[i]: the terms i..n-1 reach one sum only
+    for i in range(n - 1, -1, -1):
+        vs = free_vals[i]
+        lo, hi = coeffs[i] * vs[0], coeffs[i] * vs[-1]
+        least[i] = least[i + 1] + min(lo, hi)
+        single[i] = single[i + 1] and lo == hi
+    if (least[0] > target) if op == "le" else (single[0] and least[0] == target):
+        return None
+    out = []
+    rest = target
+    for i in range(n):
+        a, vs = coeffs[i], free_vals[i]
+        v = vs[0]
+        if op == "ne":
+            if single[i + 1] and a * v + least[i + 1] == rest:
+                v = vs[1]
+        elif a < 0:  # a*v <= rest - least[i+1] means v >= the ceiling of its quotient
+            v = _first_at_least(vs, -((least[i + 1] - rest) // a))
+        out.append(v)
+        rest -= a * v
+    return tuple(out)
+
+
+def _lex_sums(free_vals: list[Sequence[int]], coeffs: list[int]) -> list[int]:
+    """Sum of every assignment, listed in lex-ascending order of assignments."""
+    sums = [0]
+    for a, vs in zip(coeffs, free_vals):
+        sums = [s + a * v for s in sums for v in vs]
+    return sums
+
+
+def _lex_assignment(free_vals: list[Sequence[int]], rank: int) -> tuple[int, ...]:
+    """The assignment at position `rank` in lex-ascending order."""
+    out = []
+    for vs in reversed(free_vals):
+        rank, k = divmod(rank, len(vs))
+        out.append(vs[k])
+    return tuple(reversed(out))
+
+
+def _lex_walk(
+    free_vals: list[Sequence[int]], coeffs: list[int], target: int, budget: float
+) -> tuple[int, ...] | None:
+    # Depth-first in lex order over all but the last variable, which is
+    # solved by division plus a range test or bisect.  A value is tried only
+    # if the terms after it can still reach its remainder.  Raises
+    # _OutOfBudget when it has tried `budget` values.
+    vs, a, m = free_vals[-1], coeffs[-1], len(free_vals) - 1
+
+    def last(r: int) -> tuple[int, ...] | None:
+        v, rem = divmod(r, a)
+        return (v,) if rem == 0 and _first_at_least(vs, v) == v else None
+
+    if m == 0:
+        return last(target)
+    hull = [(0, 0)] * (m + 2)  # hull[i]: least and greatest sum of the terms i..m
+    for i in range(m, -1, -1):
+        lo, hi = coeffs[i] * free_vals[i][0], coeffs[i] * free_vals[i][-1]
+        hull[i] = (hull[i + 1][0] + min(lo, hi), hull[i + 1][1] + max(lo, hi))
+    if not hull[0][0] <= target <= hull[0][1]:
+        return None
+    chosen = [0] * m
+    rests = [target] * m
+    stack = [iter(_window(free_vals[0], coeffs[0], target, *hull[1]))]
+    while stack:
+        i = len(stack) - 1
+        k = next(stack[i], None)
+        if k is None:
+            stack.pop()
+            continue
+        budget -= 1
+        if budget < 0:
+            raise _OutOfBudget
+        v = chosen[i] = free_vals[i][k]
+        rest = rests[i] - coeffs[i] * v
+        if i + 1 < m:
+            rests[i + 1] = rest
+            window = _window(free_vals[i + 1], coeffs[i + 1], rest, *hull[i + 2])
+            stack.append(iter(window))
+        else:
+            t = last(rest)
+            if t is not None:
+                return tuple(chosen) + t
+    return None
+
+
+def _meet_in_the_middle(
+    free_vals: list[Sequence[int]], coeffs: list[int], target: int
+) -> tuple[int, ...] | None:
+    # Horowitz & Sahni, JACM 21(2), 1974.  The left variables are walked in
+    # lex order, the first one lazily and the others from a list of their
+    # sums, and each remainder is looked up in a table of the right ones
+    # that keeps the lex-first right assignment per sum, so the first hit is
+    # the lex-first support.  The split minimises walk plus table size,
+    # among those whose table and list hold at most _TABLE_CAP sums.
+    # When that cost exceeds _EAGER_COST, or no split fits, `_lex_walk` goes
+    # first: it finds an early support at once, even over wide ranges, but
+    # may take exponential time to prove there is none.  So it may take only
+    # about as long as meet in the middle would at worst (a try costs about
+    # as much as 32 table entries); without a split it runs to the end.
+    n = len(free_vals)
+    if n == 0:
+        return () if target == 0 else None
+    if n < 3:  # no split leaves two variables on the right
+        return _lex_walk(free_vals, coeffs, target, math.inf)
+    # count[k]: number of assignments of the first k variables
+    count = list(itertools.accumulate(map(_size, free_vals), mul, initial=1))
+    m, cost = None, math.inf
+    for k in range(1, n - 1):
+        walk, table = count[k], count[n] // count[k]
+        fits = table <= _TABLE_CAP and walk // count[1] <= _TABLE_CAP
+        if fits and walk + table < cost:
+            m, cost = k, walk + table
+    if cost > _EAGER_COST:
+        try:
+            return _lex_walk(free_vals, coeffs, target, cost // 32)
+        except _OutOfBudget:
+            pass
+    left, right = free_vals[1:m], free_vals[m:]
+    sums = _lex_sums(right, coeffs[m:])
+    # inserted last to first, so each sum keeps its lex-first rank
+    first = dict(zip(reversed(sums), range(len(sums) - 1, -1, -1)))
+    inner = _lex_sums(left, coeffs[1:m])
+    for v in free_vals[0]:
+        r = target - coeffs[0] * v
+        for i, s in enumerate(inner):
+            j = first.get(r - s)
+            if j is not None:
+                return (v,) + _lex_assignment(left, i) + _lex_assignment(right, j)
+    return None
 
 
 def _scan_linear_py(
     free_vals: list[Sequence[int]], coeffs: list[int], target: int, op: str
 ) -> tuple[int, ...] | None:
-    n = len(free_vals)
-    out = [0] * n
-
-    def rec(i: int, acc: int) -> bool:
-        if i == n:
-            return _cmp(acc, target, op)
-        a = coeffs[i]
-        for v in free_vals[i]:
-            out[i] = v
-            if rec(i + 1, checked_add(acc, checked_mul(a, v))):
-                return True
-        return False
-
-    return tuple(out) if rec(0, 0) else None
-
-
-def _scan_linear_np(
-    free_vals: list[Sequence[int]], coeffs: list[int], target: int, op: str
-) -> tuple[int, ...] | None:
-    n = len(free_vals)
-    sizes = [len(vs) for vs in free_vals]
-    strides = [1] * n
-    for i in range(n - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    total = strides[0] * sizes[0]
-    arrs: list[np.ndarray | None] = [
-        None if isinstance(vs, range) else np.asarray(vs, dtype=np.int64)
-        for vs in free_vals
-    ]
-    start = 0
-    while start < total:
-        end = min(start + _CHUNK, total)
-        idx = np.arange(start, end, dtype=np.int64)
-        acc = np.zeros(end - start, dtype=np.int64)
-        for i in range(n):
-            sub = (idx // strides[i]) % sizes[i]
-            vs = free_vals[i]
-            col = (vs.start + sub) if isinstance(vs, range) else arrs[i][sub]
-            acc += coeffs[i] * col
-        if op == "eq":
-            mask = acc == target
-        elif op == "le":
-            mask = acc <= target
-        else:
-            mask = acc != target
-        nz = np.flatnonzero(mask)
-        if nz.size:
-            k = start + int(nz[0])
-            return tuple(
-                int(free_vals[i][(k // strides[i]) % sizes[i]]) for i in range(n)
-            )
-        start = end
-    return None
-
-
-def _scan_linear(
-    free_vals: list[Sequence[int]], coeffs: list[int], target: int, op: str
-) -> tuple[int, ...] | None:
     """Lex-ascending first assignment with sum(coeff*value) `op` target."""
-    if not free_vals:
-        return () if _cmp(0, target, op) else None
-    total = 1
-    for vs in free_vals:
-        total *= len(vs)
-    if total >= _NUMPY_MIN_TUPLES:
-        bound = abs(target)
-        for a, vs in zip(coeffs, free_vals):
-            bound += abs(a) * max(abs(vs[0]), abs(vs[-1]))
-        if bound <= INT64_MAX:
-            return _scan_linear_np(free_vals, coeffs, target, op)
-    return _scan_linear_py(free_vals, coeffs, target, op)
+    if op == "eq":
+        return _meet_in_the_middle(free_vals, coeffs, target)
+    return _greedy(free_vals, coeffs, target, op)
 
 
 CandidateFn = Callable[[VarId], Sequence[int]]
@@ -191,21 +294,25 @@ CandidateFn = Callable[[VarId], Sequence[int]]
 def _find_int_support(
     c: Constraint, pin: VarId, value: int, candidates: CandidateFn
 ) -> Valuation | None:
-    """First integral support of pin=value, scanning others lex-ascending."""
-    free = [v for v in vars_of(c) if v != pin]
+    """Lex-first integral support of pin=value over the other variables."""
     if isinstance(c, (LinEq, LinLe, LinNe)):
-        coeff_of = {t.var: t.coeff for t in c.terms}
-        target = checked_add(c.rhs, -checked_mul(coeff_of[pin], value))
+        free, coeffs = [], []
+        for t in c.terms:
+            if t.var == pin:
+                target = checked_add(c.rhs, -checked_mul(t.coeff, value))
+            else:
+                free.append(t.var)
+                coeffs.append(t.coeff)
         free_vals = [candidates(v) for v in free]
-        coeffs = [coeff_of[v] for v in free]
         op = "eq" if isinstance(c, LinEq) else ("le" if isinstance(c, LinLe) else "ne")
-        chosen = _scan_linear(free_vals, coeffs, target, op)
+        chosen = _scan_linear_py(free_vals, coeffs, target, op)
         if chosen is None:
             return None
         bindings = dict(zip(free, chosen))
         bindings[pin] = value
         return Valuation(bindings)
     # generic catalog: plain nested loops over candidate values
+    free = [v for v in vars_of(c) if v != pin]
     for combo in itertools.product(*(candidates(v) for v in free)):
         bindings = dict(zip(free, combo))
         bindings[pin] = value

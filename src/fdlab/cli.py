@@ -342,14 +342,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as e:
+    except (ParseError, OSError, RealSemanticsUndefined, OverflowError,
+            ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except (RealSemanticsUndefined, OverflowError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except Exception as e:  # an internal fault must not read as exit 1, "inconsistent"
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -383,9 +383,33 @@ def test_criterion_4_propagator_certification(capsys):
     assert mismatches == 0
 
 
+def _median_step_ratios(calls, batch, rounds):
+    """Per step between consecutive calls, the median over rounds of their
+    batch-time ratio.
+
+    The machine's speed can switch between samples, so within a round the
+    calls are timed back to back, each over a batch long enough to stay
+    clear of timer and scheduler noise.
+    """
+    steps = [[] for _ in range(len(calls) - 1)]
+    gc.disable()
+    try:
+        for _ in range(rounds):
+            times = []
+            for call in calls:
+                t0 = time.perf_counter()
+                for _ in range(batch):
+                    call()
+                times.append(time.perf_counter() - t0)
+            for i, step in enumerate(steps):
+                step.append(times[i + 1] / times[i])
+    finally:
+        gc.enable()
+    return [statistics.median(step) for step in steps]
+
+
 def test_criterion_5_cost_asymmetry(capsys):
     sizes = (10, 14, 18, 22)
-    bz_times = []
     gadgets = []
     for n in sizes:
         items = tuple(2 * ((i % 24) + 1) for i in range(n))
@@ -393,34 +417,18 @@ def test_criterion_5_cost_asymmetry(capsys):
         m, _, _ = encode_subset_sum(inst)
         c, _ = m.constraints[0]
         gadgets.append((m.initial, c))
-
-        t0 = time.perf_counter()
         res = check_bounds_z(m.initial, c)
-        bz_times.append(time.perf_counter() - t0)
-        assert not res.consistent  # full scans really happened
+        assert not res.consistent  # full searches really happened
 
-    # One linear pass takes ~100 us, too close to timer and scheduler noise,
-    # so each sample times a batch of several ms.  The machine's speed can
-    # switch between samples, so the sizes are timed back to back within a
-    # round and each step ratio is the median of its per-round ratios.
-    batch = 64
-    br_rounds = [[] for _ in range(len(sizes) - 1)]
-    gc.disable()
-    try:
-        for _ in range(25):
-            times = []
-            for d, c in gadgets:
-                t0 = time.perf_counter()
-                for _ in range(batch):
-                    propagate_linear_br(d, c)
-                times.append(time.perf_counter() - t0)
-            for i, rounds in enumerate(br_rounds):
-                rounds.append(times[i + 1] / times[i])
-    finally:
-        gc.enable()
-
-    bz_ratios = [bz_times[i + 1] / bz_times[i] for i in range(len(sizes) - 1)]
-    br_ratios = [statistics.median(rounds) for rounds in br_rounds]
+    # The exact check at n=10 takes a few ms and one linear pass ~100 us.
+    bz_ratios = _median_step_ratios(
+        [lambda d=d, c=c: check_bounds_z(d, c) for d, c in gadgets], batch=8, rounds=9
+    )
+    br_ratios = _median_step_ratios(
+        [lambda d=d, c=c: propagate_linear_br(d, c) for d, c in gadgets],
+        batch=64,
+        rounds=25,
+    )
     ok = all(r >= 2.0 for r in bz_ratios) and all(r <= 1.5 for r in br_ratios)
     report(
         capsys,

@@ -1,6 +1,9 @@
 """Checker tests: worked examples with known verdicts, the strength chain,
 range-domain correspondences, and agreement with the naive oracle."""
 
+import itertools
+import operator
+
 import pytest
 
 from conftest import fresh_rng, make_vars, random_domain, random_int_constraint
@@ -21,7 +24,8 @@ from fdlab import (
     check_bounds_z,
     check_domain,
 )
-from fdlab.checkers import ConsistencyNotion, _scan_linear_np, _scan_linear_py
+from fdlab import checkers
+from fdlab.checkers import ConsistencyNotion, _scan_linear_py
 from fdlab.constraints import real_defined, sat_int, sat_real
 from fdlab.domains import Valuation, member, member_box, range_of
 from fdlab.oracle import oracle_consistent
@@ -214,27 +218,94 @@ def test_checkers_agree_with_oracle():
             assert check(d, c, notion).consistent == oracle_consistent(d, c, notion)
 
 
-def test_big_linear_scan_matches_python_scan():
-    # above the tuple-count threshold the scan switches to the chunked
-    # vectorized path; both must return the identical first witness
+def _lex_first(free_vals, coeffs, target, op):
+    """Brute-force reference: the first tuple in itertools.product order."""
+    holds = {"eq": operator.eq, "le": operator.le, "ne": operator.ne}[op]
+    for combo in itertools.product(*free_vals):
+        if holds(sum(a * v for a, v in zip(coeffs, combo)), target):
+            return combo
+    return None
+
+
+def test_linear_search_matches_lex_first_brute_force():
     rng = fresh_rng(11)
-    for _ in range(25):
-        n = rng.randint(3, 5)
+    for _ in range(1000):
         free_vals = []
-        for _ in range(n):
-            if rng.random() < 0.5:
-                lo = rng.randint(-6, 2)
-                free_vals.append(range(lo, lo + rng.randint(3, 8)))
+        for _ in range(rng.randint(0, 6)):
+            roll = rng.random()
+            if roll < 0.2:
+                free_vals.append((rng.randint(-6, 6),))
+            elif roll < 0.6:
+                lo = rng.randint(-6, 3)
+                free_vals.append(range(lo, lo + rng.randint(1, 6)))
             else:
-                free_vals.append(
-                    tuple(sorted(rng.sample(range(-6, 7), rng.randint(4, 8))))
-                )
-        coeffs = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n)]
-        target = rng.randint(-6, 6)
+                picked = rng.sample(range(-6, 7), rng.randint(1, 6))
+                free_vals.append(tuple(sorted(picked)))
+        coeffs = [rng.choice([-7, -3, -2, -1, 1, 2, 3, 5]) for _ in free_vals]
+        target = rng.randint(-20, 20)
         for op in ("eq", "le", "ne"):
-            py = _scan_linear_py(free_vals, coeffs, target, op)
-            vec = _scan_linear_np(free_vals, coeffs, target, op)
-            assert py == vec, (free_vals, coeffs, target, op)
+            want = _lex_first(free_vals, coeffs, target, op)
+            assert _scan_linear_py(free_vals, coeffs, target, op) == want, (
+                free_vals, coeffs, target, op)
+
+
+def test_linear_search_on_gadget_sized_equations():
+    # 16 {0,1} variables, as in a subset-sum gadget with one variable pinned
+    rng = fresh_rng(12)
+    for k in range(4):
+        coeffs = [rng.randint(1000, 9999) for _ in range(15)]
+        coeffs.append(-rng.randint(1000, 60000))
+        picked = [a for a in coeffs if rng.random() < 0.5]
+        target = sum(picked) if k % 2 == 0 else rng.randint(1, sum(coeffs[:15]))
+        free_vals = [(0, 1)] * 16
+        want = _lex_first(free_vals, coeffs, target, "eq")
+        assert _scan_linear_py(free_vals, coeffs, target, "eq") == want
+
+
+def test_linear_search_solves_one_free_variable_by_division():
+    # listing this range would take hours; a quotient and a range test do not
+    wide = [range(-10**15, 10**15)]
+    assert _scan_linear_py(wide, [7], 7 * (10**15 - 3), "eq") == (10**15 - 3,)
+    assert _scan_linear_py(wide, [-7], 7 * 10**15, "eq") == (-10**15,)
+    assert _scan_linear_py(wide, [7], 7 * 10**15, "eq") is None
+    assert _scan_linear_py(wide, [7], 7 * 10**14 + 1, "eq") is None
+    assert _scan_linear_py(wide, [-3], 10, "le") == (-3,)
+    assert _scan_linear_py(wide, [1], -10**15, "ne") == (-10**15 + 1,)
+
+
+def test_linear_search_finds_early_supports_over_wide_ranges():
+    # a meet-in-the-middle table here would hold 10**8 sums; the walk that
+    # solves the last variable by division answers at once
+    wide = [range(0, 10**4 + 1)] * 4
+    assert _scan_linear_py(wide, [1, 1, 1, 1], 7, "eq") == (0, 0, 0, 7)
+    top = (9999, 10000, 10000, 10000)
+    assert _scan_linear_py(wide, [1, 1, 1, 1], 39999, "eq") == top
+    # x2 must be a multiple of 3 and at least 94 for the rest to reach
+    assert _scan_linear_py(wide, [1000, 1001, -999, 3], 123456, "eq") == (0, 96, 0, 9120)
+    huge = [range(-2**62, 2**62 + 1)] * 2 + [range(0, 2)]  # more values than len() takes
+    assert _scan_linear_py(huge, [1, 1, 1], 0, "eq") == (-2**62, 2**62 - 1, 1)
+
+
+def test_linear_search_walk_then_table_matches_brute_force(monkeypatch):
+    # with no eager meet in the middle and small tables, the walk gives up
+    # and the table search resumes from the start
+    rng = fresh_rng(13)
+    for _ in range(600):
+        monkeypatch.setattr(checkers, "_EAGER_COST", rng.choice([0, 4, 16]))
+        monkeypatch.setattr(checkers, "_TABLE_CAP", rng.choice([4, 16, 64]))
+        free_vals = []
+        for _ in range(rng.randint(3, 8)):
+            if rng.random() < 0.5:
+                lo = rng.randint(-4, 2)
+                free_vals.append(range(lo, lo + rng.randint(1, 4)))
+            else:
+                picked = rng.sample(range(-5, 6), rng.randint(1, 4))
+                free_vals.append(tuple(sorted(picked)))
+        coeffs = [rng.choice([-7, -3, -2, 1, 2, 5, 11]) for _ in free_vals]
+        target = rng.randint(-30, 30)
+        want = _lex_first(free_vals, coeffs, target, "eq")
+        assert _scan_linear_py(free_vals, coeffs, target, "eq") == want, (
+            free_vals, coeffs, target)
 
 
 def test_singleton_bounds_checked_once():

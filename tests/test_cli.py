@@ -256,3 +256,32 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     assert code == 2 and "line 1" in err
     code, _, err = run(capsys, "check", str(tmp_path / "missing.model"))
     assert code == 2
+
+
+def test_directory_path_exits_two(tmp_path, capsys):
+    code, out, err = run(capsys, "check", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_internal_error_exits_two_not_one(example1, capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("fdlab.cli.check", broken)
+    code, _, err = run(capsys, "check", example1)
+    assert code == 2
+    assert err == "error: internal: RuntimeError: boom\n"
+
+
+def test_bounds_z_check_over_a_set_wider_than_len_answers(tmp_path, capsys):
+    # the bounds(Z) box of x and y holds 2**63 + 1 values
+    p = tmp_path / "wide.model"
+    p.write_text(
+        "var x in {-4611686018427387904, 4611686018427387904}\n"
+        "var y in {-4611686018427387904, 4611686018427387904}\n"
+        "var z in {0, 1}\n"
+        "constraint c1: lineq 1*x + 1*y + 1*z = 0 @ bounds-z\n"
+    )
+    code, out, err = run(capsys, "check", str(p))
+    assert (code, out, err) == (0, "c1 @ bounds-z: consistent\n", "")
