@@ -16,19 +16,27 @@ propagators and the engine read the same three functions.
 
 The reported integer support is the lexicographically first one, with
 each variable's candidates in ascending order.  Real supports are decided
-by exact closed forms over rationals: interval feasibility for linear
-constraints, point-interval counting for alldifferent, corner evaluation
-for the product and monotone-function constraints.  No floating point
-anywhere.  A support of var=value never reads var's own set.
+by exact closed forms over rationals: the linear greedy below, run over
+the real boxes, for linear constraints, point-interval counting for
+alldifferent, corner evaluation for the product and monotone-function
+constraints.  No floating point anywhere.  A support of var=value never
+reads var's own set.
 
 Non-linear integer supports are found by a scan in lex order.  Linear ones
-are searched exactly, with Python ints, for the same first support:
-`<=` and `!=` by a greedy that gives each variable its first value that the
-remaining variables can still complete (polynomial), `=` by meet in the
-middle (exponential in half the variables, as bounds(Z) checking of a
-linear equation is NP-hard).  Where its tables would be large, a
-depth-first walk that solves the last variable by division goes first, for
-a bounded time, so that an early support over wide ranges costs no table.
+are searched exactly for the same first support: `<=` and `!=` by a greedy
+that gives each variable its first value that the remaining variables can
+still complete (polynomial), `=` by meet in the middle (exponential in half
+the variables, as bounds(Z) checking of a linear equation is NP-hard).
+Where its tables would be large, a depth-first walk that solves the last
+variable by division goes first, for a bounded time, so that an early
+support over wide ranges costs no table.  Every linear support, integer or
+real, reads the remainder left once var=value is pinned (`_pinned_linear`)
+and the least and greatest sum of each suffix of the other terms
+(`_hull`).  The real one is bounds(Z)'s question without integrality: the
+same greedy over the boxes, with exact division where the integer one
+rounds, and at `=` each value also kept within reach of the greatest
+suffix sum.  Linear support arithmetic is exact Python ints and Fractions,
+with no 64-bit bound on any intermediate.
 """
 
 from __future__ import annotations
@@ -48,27 +56,16 @@ from .constraints import (
     LinEq,
     LinLe,
     LinNe,
-    Mod,
     MonoBij,
     ProductLe,
     RealSemanticsUndefined,
-    ReifLinLe,
-    Table,
     mono_eval_int,
-    mono_increasing,
     mono_inverse_frac,
     mono_requires_nonneg,
     sat_int,
     vars_of,
 )
-from .domains import (
-    Domain,
-    IntSet,
-    Valuation,
-    VarId,
-    checked_add,
-    checked_mul,
-)
+from .domains import Domain, IntSet, Valuation, VarId, checked_mul
 
 
 class ConsistencyNotion(Enum):
@@ -139,32 +136,51 @@ def _window(vs: Sequence[int], a: int, rest: int, lo: int, hi: int) -> range:
     return range(bisect_left(vs, vlo), bisect_right(vs, vhi))
 
 
+def _pinned_linear(
+    c: Constraint, pin: VarId, value: int
+) -> tuple[list[VarId], list[int], int, str]:
+    """The other variables of linear c, their coefficients, and the remainder
+    their sum must stand in relation c.op to once pin=value."""
+    others, coeffs, rest = [], [], c.rhs
+    for t in c.terms:
+        if t.var == pin:
+            rest -= t.coeff * value
+        else:
+            others.append(t.var)
+            coeffs.append(t.coeff)
+    return others, coeffs, rest, c.op
+
+
+def _hull(ends: Sequence[Sequence[int]], coeffs: list[int]) -> list[tuple[int, int]]:
+    """hull[i]: least and greatest sum of the terms i.. (empty at the end),
+    term j ranging from ends[j][0] to ends[j][-1]."""
+    hull = [(0, 0)] * (len(coeffs) + 1)
+    for i in range(len(coeffs) - 1, -1, -1):
+        a, vs = coeffs[i], ends[i]
+        lo, hi = (a * vs[0], a * vs[-1]) if a > 0 else (a * vs[-1], a * vs[0])
+        hull[i] = (hull[i + 1][0] + lo, hull[i + 1][1] + hi)
+    return hull
+
+
 def _greedy(
     free_vals: list[Sequence[int]], coeffs: list[int], target: int, op: str
 ) -> tuple[int, ...] | None:
     # Each variable takes its first value that the terms after it can still
     # complete: for le, when their least sum fits the remainder; for ne,
     # unless they reach one sum only and it is the forbidden remainder.
-    n = len(free_vals)
-    least = [0] * (n + 1)  # least[i]: least sum of the terms i..n-1
-    single = [True] * (n + 1)  # single[i]: the terms i..n-1 reach one sum only
-    for i in range(n - 1, -1, -1):
-        vs = free_vals[i]
-        lo, hi = coeffs[i] * vs[0], coeffs[i] * vs[-1]
-        least[i] = least[i + 1] + min(lo, hi)
-        single[i] = single[i + 1] and lo == hi
-    if (least[0] > target) if op == "le" else (single[0] and least[0] == target):
+    hull = _hull(free_vals, coeffs)
+    lo, hi = hull[0]
+    if lo > target if op == "le" else lo == hi == target:
         return None
     out = []
     rest = target
-    for i in range(n):
-        a, vs = coeffs[i], free_vals[i]
+    for a, vs, (lo, hi) in zip(coeffs, free_vals, hull[1:]):
         v = vs[0]
         if op == "ne":
-            if single[i + 1] and a * v + least[i + 1] == rest:
+            if lo == hi and a * v + lo == rest:
                 v = vs[1]
-        elif a < 0:  # a*v <= rest - least[i+1] means v >= the ceiling of its quotient
-            v = _first_at_least(vs, -((least[i + 1] - rest) // a))
+        elif a < 0:  # a*v <= rest - lo means v >= the ceiling of its quotient
+            v = _first_at_least(vs, -((lo - rest) // a))
         out.append(v)
         rest -= a * v
     return tuple(out)
@@ -202,10 +218,7 @@ def _lex_walk(
 
     if m == 0:
         return last(target)
-    hull = [(0, 0)] * (m + 2)  # hull[i]: least and greatest sum of the terms i..m
-    for i in range(m, -1, -1):
-        lo, hi = coeffs[i] * free_vals[i][0], coeffs[i] * free_vals[i][-1]
-        hull[i] = (hull[i + 1][0] + min(lo, hi), hull[i + 1][1] + max(lo, hi))
+    hull = _hull(free_vals, coeffs)
     if not hull[0][0] <= target <= hull[0][1]:
         return None
     chosen = [0] * m
@@ -296,16 +309,8 @@ def _find_int_support(
 ) -> Valuation | None:
     """Lex-first integral support of pin=value over the other variables."""
     if isinstance(c, (LinEq, LinLe, LinNe)):
-        free, coeffs = [], []
-        for t in c.terms:
-            if t.var == pin:
-                target = checked_add(c.rhs, -checked_mul(t.coeff, value))
-            else:
-                free.append(t.var)
-                coeffs.append(t.coeff)
-        free_vals = [candidates(v) for v in free]
-        op = "eq" if isinstance(c, LinEq) else ("le" if isinstance(c, LinLe) else "ne")
-        chosen = _scan_linear_py(free_vals, coeffs, target, op)
+        free, coeffs, rest, op = _pinned_linear(c, pin, value)
+        chosen = _scan_linear_py([candidates(v) for v in free], coeffs, rest, op)
         if chosen is None:
             return None
         bindings = dict(zip(free, chosen))
@@ -326,74 +331,36 @@ def _find_int_support(
 # real (rational) bound supports, closed forms
 
 
-def _linear_parts(c: Constraint) -> tuple[list[tuple[VarId, int]], int, str]:
-    op = "eq" if isinstance(c, LinEq) else ("le" if isinstance(c, LinLe) else "ne")
-    return [(t.var, t.coeff) for t in c.terms], c.rhs, op
-
-
 def _real_support_linear(
     d: Domain, c: Constraint, pin: VarId, value: int
 ) -> tuple[bool, Valuation | None]:
-    terms, rhs, op = _linear_parts(c)
-    others = [(v, a, d.inf(v), d.sup(v)) for v, a in terms if v != pin]
-    a_pin = next(a for v, a in terms if v == pin)
-    target = Fraction(checked_add(rhs, -checked_mul(a_pin, value)))
-    lo_sum = sum(min(checked_mul(a, l), checked_mul(a, u)) for _, a, l, u in others)
-    hi_sum = sum(max(checked_mul(a, l), checked_mul(a, u)) for _, a, l, u in others)
-
-    if op == "eq":
-        if not (lo_sum <= target <= hi_sum):
+    # The integer greedy over the real boxes, dividing exactly where it rounds.
+    others, coeffs, rest, op = _pinned_linear(c, pin, value)
+    boxes = [(d.inf(v), d.sup(v)) for v in others]
+    hull = _hull(boxes, coeffs)
+    lo, hi = hull[0]
+    bindings: dict[VarId, int | Fraction] = {pin: value}
+    if op == "ne":  # infeasible only when the boxes reach the forbidden sum alone
+        if lo == hi == rest:
             return False, None
-        n = len(others)
-        suf_min = [0] * (n + 1)
-        suf_max = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            _, a, l, u = others[i]
-            suf_min[i] = suf_min[i + 1] + min(a * l, a * u)
-            suf_max[i] = suf_max[i + 1] + max(a * l, a * u)
-        bindings: dict[VarId, Fraction] = {pin: Fraction(value)}
-        t = target
-        for i, (v, a, l, u) in enumerate(others):
-            lo_av = max(t - suf_max[i + 1], Fraction(min(a * l, a * u)))
-            hi_av = min(t - suf_min[i + 1], Fraction(max(a * l, a * u)))
-            vlo = lo_av / a if a > 0 else hi_av / a
-            val = max(Fraction(l), vlo)
-            bindings[v] = val
-            t -= a * val
+        # the least corner, or a midpoint of one box if that corner hits rest
+        bindings.update((v, l) for v, (l, _) in zip(others, boxes))
+        if sum(a * l for a, (l, _) in zip(coeffs, boxes)) == rest:
+            v, l, u = next((v, l, u) for v, (l, u) in zip(others, boxes) if l < u)
+            bindings[v] = Fraction(l + u, 2)
         return True, Valuation(bindings)
-
-    if op == "le":
-        if lo_sum > target:
-            return False, None
-        bindings = {pin: Fraction(value)}
-        n = len(others)
-        suf_min = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            _, a, l, u = others[i]
-            suf_min[i] = suf_min[i + 1] + min(a * l, a * u)
-        t = target
-        for i, (v, a, l, u) in enumerate(others):
-            if a > 0:
-                val = Fraction(l)
-            else:
-                val = max(Fraction(l), (t - suf_min[i + 1]) / a)
-            bindings[v] = val
-            t -= a * val
-        return True, Valuation(bindings)
-
-    # ne: infeasible only when the reachable sum is the single forbidden point
-    if lo_sum == hi_sum and lo_sum == target:
+    if lo > rest or (op == "eq" and rest > hi):
         return False, None
-    bindings = {pin: Fraction(value)}
-    acc = Fraction(0)
-    for v, a, l, u in others:
-        bindings[v] = Fraction(l)
-        acc += a * l
-    if acc == target:
-        for v, a, l, u in others:
-            if l < u:
-                bindings[v] = Fraction(l) + Fraction(u - l, 2)
-                break
+    for v, a, (l, _), (lo, hi) in zip(others, coeffs, boxes, hull[1:]):
+        # the least x in the box with a*x + lo <= rest, and at eq a*x + hi >= rest
+        if a < 0:
+            x = l if a * l + lo <= rest else Fraction(rest - lo, a)
+        elif op == "eq":
+            x = l if a * l + hi >= rest else Fraction(rest - hi, a)
+        else:
+            x = l
+        bindings[v] = x
+        rest -= a * x
     return True, Valuation(bindings)
 
 

@@ -12,7 +12,6 @@ import json
 import random
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from .checkers import ConsistencyNotion, check
@@ -47,13 +46,17 @@ def _notion_arg(p: argparse.ArgumentParser, required: bool = False) -> None:
     )
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q)
-
-
 def _valuation_str(theta: Valuation) -> str:
     items = sorted(theta.items(), key=lambda kv: kv[0].index)
-    return " ".join(f"{v.name}={_frac_str(q)}" for v, q in items)
+    return " ".join(f"{v.name}={q}" for v, q in items)
+
+
+def _selected(m: Model, label: str | None) -> list:
+    """(label, (constraint, notion)) pairs: all of them, or the one labelled `label`."""
+    pairs = [p for p in zip(m.labels, m.constraints) if label in (None, p[0])]
+    if label is not None and not pairs:
+        raise ValueError(f"no constraint labelled {label!r}")  # main exits 2
+    return pairs
 
 
 def _emit(args, payload: dict, human_lines: list[str]) -> None:
@@ -67,16 +70,10 @@ def _emit(args, payload: dict, human_lines: list[str]) -> None:
 def cmd_check(args) -> int:
     m = _read_model(args.model)
     override = ConsistencyNotion(args.notion) if args.notion else None
-    pairs = list(zip(m.labels, m.constraints))
-    if args.constraint is not None:
-        pairs = [p for p in pairs if p[0] == args.constraint]
-        if not pairs:
-            print(f"error: no constraint labelled {args.constraint!r}", file=sys.stderr)
-            return EXIT_ERROR
     lines = []
     results = []
     worst = EXIT_OK
-    for label, (c, tagged) in pairs:
+    for label, (c, tagged) in _selected(m, args.constraint):
         notion = override if override is not None else tagged
         try:
             res = check(m.initial, c, notion)
@@ -158,7 +155,7 @@ def cmd_solve(args) -> int:
     payload = {
         "command": "solve",
         "solutions": [
-            {v.name: _frac_str(q) for v, q in theta.items()} for theta in solutions
+            {v.name: str(q) for v, q in theta.items()} for theta in solutions
         ],
         "stats": {
             "nodes": stats.nodes,
@@ -224,15 +221,9 @@ def cmd_bench(args) -> int:
 
 def cmd_analyze_monotone(args) -> int:
     m = _read_model(args.model)
-    pairs = list(zip(m.labels, m.constraints))
-    if args.constraint is not None:
-        pairs = [p for p in pairs if p[0] == args.constraint]
-        if not pairs:
-            print(f"error: no constraint labelled {args.constraint!r}", file=sys.stderr)
-            return EXIT_ERROR
     lines = []
     results = []
-    for label, (c, _) in pairs:
+    for label, (c, _) in _selected(m, args.constraint):
         try:
             report = is_monotonic(c, m.initial)
         except RealSemanticsUndefined as e:
@@ -254,7 +245,7 @@ def cmd_analyze_monotone(args) -> int:
                     None
                     if pair is None
                     else [
-                        {w.name: _frac_str(q) for w, q in t.items()} for t in pair
+                        {w.name: str(q) for w, q in t.items()} for t in pair
                     ]
                     for pair in ce
                 ]

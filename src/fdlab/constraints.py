@@ -11,6 +11,7 @@ errors.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,6 +65,8 @@ def _check_distinct(vars_: tuple[VarId, ...]) -> None:
 
 @dataclass(frozen=True)
 class _Linear(Constraint):
+    """Linear relation; `op` names the `operator` function that decides it."""
+
     terms: tuple[LinTerm, ...]
     rhs: int
 
@@ -77,13 +80,19 @@ class _Linear(Constraint):
 class LinEq(_Linear):
     """sum(coeff_i * x_i) == rhs"""
 
+    op = "eq"
+
 
 class LinLe(_Linear):
     """sum(coeff_i * x_i) <= rhs"""
 
+    op = "le"
+
 
 class LinNe(_Linear):
     """sum(coeff_i * x_i) != rhs"""
+
+    op = "ne"
 
 
 @dataclass(frozen=True)
@@ -312,10 +321,6 @@ class Table(Constraint):
             for v in row:
                 checked_int64(v)
 
-    @property
-    def row_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.rows)
-
 
 def vars_of(c: Constraint) -> tuple[VarId, ...]:
     """Variables of c in declaration order."""
@@ -358,12 +363,8 @@ def sat_int(c: Constraint, theta: Valuation) -> bool:
     _require_exact_vars(c, theta)
     if not theta.is_integral:
         raise ValueError("sat_int requires an integral valuation")
-    if isinstance(c, LinEq):
-        return _linear_sum_int(c.terms, theta) == c.rhs
-    if isinstance(c, LinLe):
-        return _linear_sum_int(c.terms, theta) <= c.rhs
-    if isinstance(c, LinNe):
-        return _linear_sum_int(c.terms, theta) != c.rhs
+    if isinstance(c, _Linear):
+        return getattr(operator, c.op)(_linear_sum_int(c.terms, theta), c.rhs)
     if isinstance(c, AllDifferent):
         vals = [theta.int_value(v) for v in c.vars]
         return len(set(vals)) == len(vals)
@@ -387,22 +388,18 @@ def sat_int(c: Constraint, theta: Valuation) -> bool:
         return (b == 1) == (_linear_sum_int(c.terms, theta) <= c.rhs)
     if isinstance(c, Table):
         row = tuple(theta.int_value(v) for v in c.vars)
-        return row in c.row_set
+        return row in c.rows
     raise TypeError(f"not a constraint: {c!r}")
 
 
 def sat_real(c: Constraint, theta: Valuation):
     """Real (rational-valued) satisfaction, or UNDEFINED where none exists."""
     _require_exact_vars(c, theta)
-    if isinstance(c, (LinEq, LinLe, LinNe)):
+    if isinstance(c, _Linear):
         acc = Fraction(0)
         for t in c.terms:
             acc += t.coeff * theta[t.var]
-        if isinstance(c, LinEq):
-            return acc == c.rhs
-        if isinstance(c, LinLe):
-            return acc <= c.rhs
-        return acc != c.rhs
+        return getattr(operator, c.op)(acc, c.rhs)
     if isinstance(c, AllDifferent):
         vals = [theta[v] for v in c.vars]
         return len(set(vals)) == len(vals)

@@ -55,6 +55,7 @@ _ROW_RE = re.compile(r"^\((-?\d+(?:,-?\d+)*)\)$")
 _FUNC_RE = re.compile(r"^(affine|pow)\((-?\d+),(-?\d+)\)$|^(powersum3)$")
 
 _NOTIONS = {n.value: n for n in ConsistencyNotion}
+_SYMBOLS = {"eq": "=", "le": "<=", "ne": "!="}  # linear relation -> model-file text
 
 
 def _parse_set(text: str, line_no: int) -> IntSet:
@@ -154,11 +155,11 @@ def _parse_constraint(
 ) -> Constraint:
     kind, _, rest = body.partition(" ")
     rest = rest.strip()
-    if kind in ("lineq", "linle", "linne"):
-        op = {"lineq": "=", "linle": "<=", "linne": "!="}[kind]
-        terms, rhs = _parse_linear_body(rest, op, vars_by_name, line_no)
-        cls = {"lineq": LinEq, "linle": LinLe, "linne": LinNe}[kind]
-        return cls(terms, rhs)
+    for cls in (LinEq, LinLe, LinNe):
+        if kind == f"lin{cls.op}":
+            symbol = _SYMBOLS[cls.op]
+            terms, rhs = _parse_linear_body(rest, symbol, vars_by_name, line_no)
+            return cls(terms, rhs)
     if kind == "alldifferent":
         names = rest.split()
         if len(names) < 2:
@@ -287,12 +288,8 @@ def _print_func(f: MonoFunc) -> str:
 
 
 def _print_constraint(c: Constraint) -> str:
-    if isinstance(c, LinEq):
-        return f"lineq {_print_terms(c.terms)} = {c.rhs}"
-    if isinstance(c, LinLe):
-        return f"linle {_print_terms(c.terms)} <= {c.rhs}"
-    if isinstance(c, LinNe):
-        return f"linne {_print_terms(c.terms)} != {c.rhs}"
+    if isinstance(c, (LinEq, LinLe, LinNe)):
+        return f"lin{c.op} {_print_terms(c.terms)} {_SYMBOLS[c.op]} {c.rhs}"
     if isinstance(c, AllDifferent):
         return "alldifferent " + " ".join(v.name for v in c.vars)
     if isinstance(c, ProductLe):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .constraints import sat_int, vars_of
-from .domains import Domain, IntSet, Valuation, VarId
+from .domains import Domain, IntSet, Valuation
 from .engine import Model, propagate_all
 
 

@@ -12,6 +12,8 @@ from fdlab import (
     Domain,
     IntSet,
     LinEq,
+    LinLe,
+    LinNe,
     LinTerm,
     Mod,
     RealSemanticsUndefined,
@@ -28,7 +30,7 @@ from fdlab import checkers
 from fdlab.checkers import ConsistencyNotion, _scan_linear_py
 from fdlab.constraints import real_defined, sat_int, sat_real
 from fdlab.domains import Valuation, member, member_box, range_of
-from fdlab.oracle import oracle_consistent
+from fdlab.oracle import _real_support_exists, oracle_consistent
 
 X1, X2, X3 = make_vars(3)
 C_LIN = LinEq((LinTerm(1, X1), LinTerm(-3, X2), LinTerm(-5, X3)), 0)
@@ -216,6 +218,32 @@ def test_checkers_agree_with_oracle():
             if notion is ConsistencyNotion.BOUNDS_R and not real_defined(c):
                 continue
             assert check(d, c, notion).consistent == oracle_consistent(d, c, notion)
+
+
+def test_real_linear_supports_agree_with_oracle_near_64_bits():
+    # sums and products here leave the signed 64-bit range; none may raise
+    rng = fresh_rng(14)
+    big = 1 << 62
+    for _ in range(400):
+        vs = make_vars(rng.randint(1, 6))
+        sets = []
+        for _ in vs:
+            centre = rng.choice([0, 0, big, -big, big - 5])
+            size = rng.randint(1, 3)
+            sets.append(IntSet.of(centre + rng.randint(-4, 4) for _ in range(size)))
+        d = Domain(tuple(sets))
+        terms = tuple(LinTerm(rng.choice([-3, -2, -1, 1, 2, 3]), v) for v in vs)
+        rhs = sum(t.coeff * rng.choice(d.get(t.var).values) for t in terms)
+        rhs = max(-(1 << 63), min((1 << 63) - 1, rhs + rng.randint(-2, 2)))
+        c = rng.choice([LinEq, LinLe, LinNe])(terms, rhs)
+        for v in vs:
+            for value in d.get(v).values:
+                w = checkers.support(d, c, ConsistencyNotion.BOUNDS_R, v, value)
+                assert w.supported == _real_support_exists(d, c, v, value), (c, v, value)
+                if w.supported:
+                    assert sat_real(c, w.witness) is True
+                    assert member_box(w.witness, d)
+                    assert w.witness[v] == value
 
 
 def _lex_first(free_vals, coeffs, target, op):

@@ -285,3 +285,16 @@ def test_bounds_z_check_over_a_set_wider_than_len_answers(tmp_path, capsys):
     )
     code, out, err = run(capsys, "check", str(p))
     assert (code, out, err) == (0, "c1 @ bounds-z: consistent\n", "")
+
+
+def test_check_with_products_past_64_bits_answers(tmp_path, capsys):
+    # 2 * 2**62 is 2**63, one past the signed 64-bit range
+    p = tmp_path / "big.model"
+    p.write_text(
+        "var x in {0,4611686018427387904}\n"
+        "var y in {0,4611686018427387904}\n"
+        "constraint c1: lineq 2*x - 2*y = 0\n"
+    )
+    for notion in ("domain", "bounds-d", "bounds-z", "bounds-r"):
+        code, out, err = run(capsys, "check", str(p), "--notion", notion)
+        assert (code, out, err) == (0, f"c1 @ {notion}: consistent\n", "")
