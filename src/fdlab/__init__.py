@@ -36,7 +36,7 @@ from .constraints import (
     sat_real,
     vars_of,
 )
-from .domains import Domain, IntSet, Rat, Valuation, VarId
+from .domains import Domain, IntSet, Valuation, VarId
 from .engine import Event, EventKind, Model, format_trace, propagate_all, trace
 from .modelfile import ParseError, parse_model, print_model
 from .propagators import PropagationResult, propagate, propagate_linear_br
@@ -76,7 +76,6 @@ __all__ = [
     "PowerSum3",
     "ProductLe",
     "PropagationResult",
-    "Rat",
     "RealSemanticsUndefined",
     "ReifLinLe",
     "SearchStats",

@@ -26,7 +26,8 @@ Non-linear integer supports are found by a scan in lex order.  Linear ones
 are searched exactly for the same first support: `<=` and `!=` by a greedy
 that gives each variable its first value that the remaining variables can
 still complete (polynomial), `=` by meet in the middle (exponential in half
-the variables, as bounds(Z) checking of a linear equation is NP-hard).
+the variables, as bounds(Z) checking of a linear equation is NP-hard),
+unless the gcd of the coefficients does not divide the remainder.
 Where its tables would be large, a depth-first walk that solves the last
 variable by division goes first, for a bounded time, so that an early
 support over wide ranges costs no table.  Every linear support, integer or
@@ -35,8 +36,9 @@ and the least and greatest sum of each suffix of the other terms
 (`_hull`).  The real one is bounds(Z)'s question without integrality: the
 same greedy over the boxes, with exact division where the integer one
 rounds, and at `=` each value also kept within reach of the greatest
-suffix sum.  Linear support arithmetic is exact Python ints and Fractions,
-with no 64-bit bound on any intermediate.
+suffix sum.  All support arithmetic is exact Python ints and Fractions:
+values are checked to fit 64 bits where they enter (see `domains`), and no
+intermediate sum or product is bounded.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .constraints import (
     sat_int,
     vars_of,
 )
-from .domains import Domain, IntSet, Valuation, VarId, checked_mul
+from .domains import Domain, IntSet, Valuation, VarId
 
 
 class ConsistencyNotion(Enum):
@@ -263,6 +265,8 @@ def _meet_in_the_middle(
     n = len(free_vals)
     if n == 0:
         return () if target == 0 else None
+    if target % math.gcd(*coeffs):  # every sum is a multiple of the gcd
+        return None
     if n < 3:  # no split leaves two variables on the right
         return _lex_walk(free_vals, coeffs, target, math.inf)
     # count[k]: number of assignments of the first k variables
@@ -369,26 +373,19 @@ def _real_support_alldiff(
 ) -> tuple[bool, Valuation | None]:
     # Positive-length intervals hold unboundedly many reals, so collisions
     # can only be forced among point intervals and the pinned value.
-    points: list[Fraction] = [Fraction(value)]
+    bindings: dict[VarId, Fraction] = {pin: Fraction(value)}
     flexible: list[tuple[VarId, int, int]] = []
     for v in c.vars:
         if v == pin:
             continue
         l, u = d.inf(v), d.sup(v)
         if l == u:
-            points.append(Fraction(l))
+            bindings[v] = Fraction(l)
         else:
             flexible.append((v, l, u))
-    if len(set(points)) != len(points):
+    used = set(bindings.values())
+    if len(used) != len(bindings):
         return False, None
-    bindings: dict[VarId, Fraction] = {pin: Fraction(value)}
-    for v in c.vars:
-        if v == pin:
-            continue
-        l, u = d.inf(v), d.sup(v)
-        if l == u:
-            bindings[v] = Fraction(l)
-    used = set(points)
     for v, l, u in flexible:
         m = len(used)
         for k in range(m + 3):
@@ -415,7 +412,7 @@ def _real_support_product(
     best: tuple[int, int, int] | None = None
     for v1 in sorted({l1, u1}):
         for v2 in sorted({l2, u2}):
-            p = checked_mul(v1, v2)
+            p = v1 * v2
             if p <= u3:
                 best = (v1, v2, max(l3, p))
                 break

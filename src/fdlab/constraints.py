@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .domains import VarId, Valuation, checked_add, checked_int64, checked_mul
+from .domains import VarId, Valuation, checked_int64
 
 
 class RealSemanticsUndefined(ValueError):
@@ -177,15 +177,14 @@ def mono_eval_frac(f: MonoFunc, x: Fraction) -> Fraction:
 
 def mono_eval_int(f: MonoFunc, x: int) -> int:
     if isinstance(f, Affine):
-        return checked_add(checked_mul(f.a, x), f.b)
+        return f.a * x + f.b
     if isinstance(f, PowK):
         p = 1
         for _ in range(f.k):
-            p = checked_mul(p, x)
-        return checked_mul(f.a, p)
-    x2 = checked_mul(x, x)
-    x3 = checked_mul(x2, x)
-    return checked_add(checked_add(1, x), checked_add(x2, x3))
+            # k is unbounded: the check stops |x| >= 2 within 63 steps
+            p = checked_int64(p * x)
+        return f.a * p
+    return 1 + x + x * x + x * x * x
 
 
 def _int_root(n: int, k: int) -> int:
@@ -352,10 +351,7 @@ def _require_exact_vars(c: Constraint, theta: Valuation) -> None:
 
 
 def _linear_sum_int(terms: tuple[LinTerm, ...], theta: Valuation) -> int:
-    acc = 0
-    for t in terms:
-        acc = checked_add(acc, checked_mul(t.coeff, theta.int_value(t.var)))
-    return acc
+    return sum(t.coeff * theta.int_value(t.var) for t in terms)
 
 
 def sat_int(c: Constraint, theta: Valuation) -> bool:
@@ -369,7 +365,7 @@ def sat_int(c: Constraint, theta: Valuation) -> bool:
         vals = [theta.int_value(v) for v in c.vars]
         return len(set(vals)) == len(vals)
     if isinstance(c, ProductLe):
-        lhs = checked_mul(theta.int_value(c.x1), theta.int_value(c.x2))
+        lhs = theta.int_value(c.x1) * theta.int_value(c.x2)
         return lhs <= theta.int_value(c.x3)
     if isinstance(c, MonoBij):
         x2 = theta.int_value(c.x2)

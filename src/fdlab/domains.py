@@ -5,6 +5,11 @@ A domain maps each variable to a non-empty, strictly increasing set of
 that could empty a set return None and callers turn that into an explicit
 failure outcome.  All consistency decisions in this package are made with
 integers and `fractions.Fraction`; floating point is never consulted.
+
+64 bits is a rule on input only: `checked_int64` runs where a value enters
+(set members, coefficients, right-hand sides, table rows), and everything
+computed from those values is exact, unbounded Python ints.  The one
+exception is x**k in `constraints.mono_eval_int`, whose k is unbounded.
 """
 
 from __future__ import annotations
@@ -17,24 +22,12 @@ from typing import Iterable, Iterator, Mapping
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 
-# Exact rational scalar used throughout.  Fraction is always in lowest terms
-# with a positive denominator, which is exactly the invariant we need.
-Rat = Fraction
-
 
 def checked_int64(value: int) -> int:
     """Return value unchanged, or raise OverflowError outside signed 64-bit."""
     if value < INT64_MIN or value > INT64_MAX:
         raise OverflowError(f"value {value} exceeds signed 64-bit range")
     return value
-
-
-def checked_add(a: int, b: int) -> int:
-    return checked_int64(a + b)
-
-
-def checked_mul(a: int, b: int) -> int:
-    return checked_int64(a * b)
 
 
 @dataclass(frozen=True, order=True)
@@ -56,10 +49,12 @@ class IntSet:
             raise ValueError("IntSet may not be empty")
         prev = None
         for v in self.values:
-            checked_int64(v)
             if prev is not None and v <= prev:
                 raise ValueError("IntSet values must be strictly increasing")
             prev = v
+        # strictly increasing, so the two ends bound every value
+        checked_int64(self.values[0])
+        checked_int64(self.values[-1])
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "IntSet":

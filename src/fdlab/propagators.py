@@ -35,7 +35,7 @@ from .constraints import (
     LinNe,
     vars_of,
 )
-from .domains import Domain, IntSet, VarId, checked_add, checked_mul
+from .domains import Domain, IntSet, VarId
 
 
 @dataclass(frozen=True)
@@ -119,14 +119,14 @@ def _shave_bounds(
     smin = smax = 0
     contrib = []
     for var, a in terms:
-        p1 = checked_mul(a, d.inf(var))
-        p2 = checked_mul(a, d.sup(var))
+        p1 = a * d.inf(var)
+        p2 = a * d.sup(var)
         lo, hi = (p1, p2) if p1 <= p2 else (p2, p1)
         contrib.append((lo, hi))
-        smin = checked_add(smin, lo)
-        smax = checked_add(smax, hi)
+        smin += lo
+        smax += hi
     for (var, a), (lo, hi) in zip(terms, contrib):
-        # residual range over the other terms; differences of checked sums
+        # residual range over the other terms
         rmin = smin - lo
         rmax = smax - hi
         s = d.get(var)
@@ -143,8 +143,8 @@ def _shave_bounds(
             if shrunk is None:
                 return None
             d = d.with_set(var, shrunk)
-            p1 = checked_mul(a, shrunk.inf)
-            p2 = checked_mul(a, shrunk.sup)
+            p1 = a * shrunk.inf
+            p2 = a * shrunk.sup
             nlo, nhi = (p1, p2) if p1 <= p2 else (p2, p1)
             smin += nlo - lo
             smax += nhi - hi

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .checkers import ConsistencyNotion
+from .checkers import ConsistencyNotion, _hull, _pinned_linear
 from .constraints import (
     AllDifferent,
     Constraint,
@@ -36,7 +36,7 @@ from .constraints import (
     sat_real,
     vars_of,
 )
-from .domains import Domain, IntSet, Valuation, VarId, checked_add, checked_mul
+from .domains import Domain, IntSet, Valuation, VarId, checked_int64
 from .engine import Model
 
 
@@ -52,10 +52,7 @@ class SubsetSumInstance:
             raise ValueError("subset-sum items must be positive")
         if self.target <= 0:
             raise ValueError("subset-sum target must be positive")
-        total = 0
-        for a in self.items:
-            total = checked_add(total, a)
-        checked_add(total, self.target)
+        checked_int64(sum(self.items) + self.target)
 
 
 def encode_subset_sum(
@@ -71,9 +68,7 @@ def encode_subset_sum(
     n = len(inst.items)
     names = [f"x{i + 1}" for i in range(n + 2)]
     vars_ = [VarId(i, nm) for i, nm in enumerate(names)]
-    total = 0
-    for a in inst.items:
-        total = checked_add(total, a)
+    total = sum(inst.items)
     terms = [LinTerm(a, vars_[i]) for i, a in enumerate(inst.items)]
     terms.append(LinTerm(-inst.target, vars_[n]))
     terms.append(LinTerm(-total, vars_[n + 1]))
@@ -130,18 +125,14 @@ def _feasible_1d(
     return flo == fhi and not lo_strict and not hi_strict
 
 
-def _linear_sum_range(
-    d: Domain, terms: list[tuple[VarId, int]], skip: VarId
-) -> tuple[int, int]:
-    smin = smax = 0
-    for v, a in terms:
-        if v == skip:
-            continue
-        p1 = checked_mul(a, d.inf(v))
-        p2 = checked_mul(a, d.sup(v))
-        smin = checked_add(smin, min(p1, p2))
-        smax = checked_add(smax, max(p1, p2))
-    return smin, smax
+def _pinned_range(
+    c: LinEq | LinNe, d: Domain, t: LinTerm
+) -> tuple[Fraction, Fraction]:
+    """The real values of t.var at which the other terms' boxes can reach rhs."""
+    others, coeffs, rest, _ = _pinned_linear(c, t.var, 0)
+    smin, smax = _hull([(d.inf(v), d.sup(v)) for v in others], coeffs)[0]
+    lo, hi = Fraction(rest - smax, t.coeff), Fraction(rest - smin, t.coeff)
+    return (lo, hi) if t.coeff > 0 else (hi, lo)
 
 
 def _verdict(lt_ok: bool, gt_ok: bool) -> VarMonotonicity:
@@ -154,12 +145,9 @@ def _verdict(lt_ok: bool, gt_ok: bool) -> VarMonotonicity:
 
 def _lineq_verdicts(c: LinEq, d: Domain) -> dict[VarId, VarMonotonicity]:
     out = {}
-    terms = [(t.var, t.coeff) for t in c.terms]
-    for v, a in terms:
-        smin, smax = _linear_sum_range(d, terms, v)
-        lo_t = Fraction(c.rhs - smax)
-        hi_t = Fraction(c.rhs - smin)
-        vlo, vhi = (lo_t / a, hi_t / a) if a > 0 else (hi_t / a, lo_t / a)
+    for t in c.terms:
+        v = t.var
+        vlo, vhi = _pinned_range(c, d, t)
         li, ui = d.inf(v), d.sup(v)
         a_end = max(Fraction(li), vlo)
         b_end = min(Fraction(ui), vhi)
@@ -176,12 +164,9 @@ def _lineq_verdicts(c: LinEq, d: Domain) -> dict[VarId, VarMonotonicity]:
 
 def _linne_verdicts(c: LinNe, d: Domain) -> dict[VarId, VarMonotonicity]:
     out = {}
-    terms = [(t.var, t.coeff) for t in c.terms]
-    for v, a in terms:
-        smin, smax = _linear_sum_range(d, terms, v)
-        lo_t = Fraction(c.rhs - smax)
-        hi_t = Fraction(c.rhs - smin)
-        vlo, vhi = (lo_t / a, hi_t / a) if a > 0 else (hi_t / a, lo_t / a)
+    for t in c.terms:
+        v = t.var
+        vlo, vhi = _pinned_range(c, d, t)
         li, ui = Fraction(d.inf(v)), Fraction(d.sup(v))
         # forbidden points sweep [vlo, vhi]; monotone iff they miss the
         # half-open sliding range

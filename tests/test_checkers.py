@@ -312,6 +312,10 @@ def test_linear_search_finds_early_supports_over_wide_ranges():
     assert _scan_linear_py(wide, [1000, 1001, -999, 3], 123456, "eq") == (0, 96, 0, 9120)
     huge = [range(-2**62, 2**62 + 1)] * 2 + [range(0, 2)]  # more values than len() takes
     assert _scan_linear_py(huge, [1, 1, 1], 0, "eq") == (-2**62, 2**62 - 1, 1)
+    # every sum is even and the target odd: no table fits, and a walk over
+    # about 2**80 value pairs would not end
+    wide40 = [range(0, 2**40 + 1)] * 3
+    assert _scan_linear_py(wide40, [2, 2, 2], 2**41 + 1, "eq") is None
 
 
 def test_linear_search_walk_then_table_matches_brute_force(monkeypatch):

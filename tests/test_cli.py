@@ -298,3 +298,18 @@ def test_check_with_products_past_64_bits_answers(tmp_path, capsys):
     for notion in ("domain", "bounds-d", "bounds-z", "bounds-r"):
         code, out, err = run(capsys, "check", str(p), "--notion", notion)
         assert (code, out, err) == (0, f"c1 @ {notion}: consistent\n", "")
+    code, out, err = run(capsys, "propagate", str(p))
+    assert (code, err) == (0, "")
+    assert out == (
+        "var x in {0,4611686018427387904}\n"
+        "var y in {0,4611686018427387904}\n"
+        "\n"
+        "constraint c1: lineq 2*x - 2*y = 0 @ domain\n"
+    )
+    code, out, err = run(capsys, "solve", str(p))
+    assert (code, err) == (0, "")
+    assert out == (
+        "x=0 y=0\n"
+        "x=4611686018427387904 y=4611686018427387904\n"
+        "nodes=3 failures=0 solutions=2 complete=yes\n"
+    )

@@ -1,6 +1,8 @@
 """Propagator tests: worked fixpoints, agreement with the deletion oracle,
 range-shaped pruning for the bounds notions, and the fast linear pass."""
 
+import itertools
+
 import pytest
 
 from conftest import (
@@ -24,8 +26,9 @@ from fdlab import (
     propagate_linear_br,
 )
 from fdlab.checkers import ConsistencyNotion, check, support
-from fdlab.constraints import AllDifferent, real_defined
-from fdlab.oracle import oracle_fixpoint
+from fdlab.constraints import AllDifferent, real_defined, sat_real
+from fdlab.domains import INT64_MAX, INT64_MIN, member_box
+from fdlab.oracle import _real_support_exists, oracle_fixpoint
 
 X1, X2, X3 = make_vars(3)
 C_LIN = LinEq((LinTerm(1, X1), LinTerm(-3, X2), LinTerm(-5, X3)), 0)
@@ -222,6 +225,28 @@ def test_linear_real_pass_equals_generic_real_propagation():
         assert fast.failed == slow.failed
         if not fast.failed:
             assert fast.domain == slow.domain
+
+
+def test_real_reasoning_past_64_bits_answers():
+    # products and sums here leave the signed 64-bit range; none may raise
+    x, y, z = make_vars(3)
+    c = ProductLe(x, y, z)
+    factors = [(2**32, 2**32 + 2), (-(2**32) - 1, 2**32), (2**62 - 1, 2**62), (-(2**62), 3)]
+    thirds = [(0, INT64_MAX), (INT64_MIN, -(2**62)), (2**62, INT64_MAX)]
+    for f1, f2, f3 in itertools.product(factors, factors, thirds):
+        d = Domain((IntSet.of(f1), IntSet.of(f2), IntSet.of(f3)))
+        for v in (x, y, z):
+            for value in d.get(v).values:
+                w = support(d, c, ConsistencyNotion.BOUNDS_R, v, value)
+                assert w.supported == _real_support_exists(d, c, v, value), (d, v, value)
+                if w.supported:
+                    assert sat_real(c, w.witness) is True
+                    assert member_box(w.witness, d)
+    big = 2**62
+    for d in (dom3([0, big], [0, big], [0]), dom3([0, big], [0, big - 1], [0])):
+        for rel in (LinEq, LinLe, LinNe):
+            lin = rel((LinTerm(2, X1), LinTerm(-2, X2)), 0)
+            assert propagate_linear_br(d, lin) == propagate(d, lin, ConsistencyNotion.BOUNDS_R)
 
 
 def test_linear_real_pass_rejects_non_linear():
