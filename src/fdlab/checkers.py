@@ -12,7 +12,10 @@ states them:
 `needs_support` gives the first column, `candidates` the second (None for
 the real boxes), `sees_holes` whether the second column reads the sets.
 `check` is one loop over the variables and the values needing support; the
-propagators and the engine read the same three functions.
+propagators and the engine read the same three functions.  Beside them,
+`supported_window` gives the linear cases where a notion's supported values
+are one window read off the other variables' hull, so that `propagate`
+keeps that window instead of asking each value.
 
 The reported integer support is the lexicographically first one, with
 each variable's candidates in ascending order.  Real supports are decided
@@ -494,6 +497,34 @@ def candidates(d: Domain, notion: ConsistencyNotion) -> CandidateFn | None:
     if notion is ConsistencyNotion.BOUNDS_Z:
         return lambda v: range(d.inf(v), d.sup(v) + 1)
     return None
+
+
+def supported_window(
+    d: Domain, c: Constraint, notion: ConsistencyNotion, var: VarId
+) -> range | None:
+    """Positions in var's values of those with a support at `notion`, when
+    the notion's supports of c form one window read off the other variables'
+    hull; None when each value must be searched.
+
+    That holds for `<=` at every notion (a least sum sits at set endpoints),
+    for `=` at bounds(R), and for `=` at bounds(Z) when every coefficient is
+    +-1 (the integer sums over integer boxes then fill their hull).
+    """
+    if isinstance(c, LinEq):
+        if notion is not ConsistencyNotion.BOUNDS_R and not (
+            notion is ConsistencyNotion.BOUNDS_Z
+            and all(abs(t.coeff) == 1 for t in c.terms)
+        ):
+            return None
+    elif not isinstance(c, LinLe):
+        return None
+    others, coeffs, rhs, _ = _pinned_linear(c, var, 0)
+    lo, hi = _hull([(d.inf(v), d.sup(v)) for v in others], coeffs)[0]
+    values = d.get(var).values
+    a = next(t.coeff for t in c.terms if t.var == var)
+    if isinstance(c, LinLe):  # no upper limit: one that every remainder meets
+        hi = rhs - min(a * values[0], a * values[-1])
+    return _window(values, a, rhs, lo, hi)
 
 
 def support(

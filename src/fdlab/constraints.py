@@ -179,11 +179,11 @@ def mono_eval_int(f: MonoFunc, x: int) -> int:
     if isinstance(f, Affine):
         return f.a * x + f.b
     if isinstance(f, PowK):
-        p = 1
-        for _ in range(f.k):
-            # k is unbounded: the check stops |x| >= 2 within 63 steps
-            p = checked_int64(p * x)
-        return f.a * p
+        # k is unbounded: refuse a power whose lower bound 2**((b-1)*k), for
+        # b bits of |x|, reaches 2**256, so what is computed stays under 512 bits
+        if abs(x) > 1 and (abs(x).bit_length() - 1) * f.k >= 256:
+            raise OverflowError(f"{x}**{f.k} exceeds 256 bits")
+        return f.a * x**f.k
     return 1 + x + x * x + x * x * x
 
 

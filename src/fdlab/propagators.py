@@ -10,9 +10,17 @@ values need support and where supports are searched come from the notion
 table in `checkers`.  Deletion order does not affect the result; the test
 suite certifies this against an exhaustive deletion-order oracle.
 
-propagate_linear_br() is the practical counterpart for linear constraints:
-O(n) bound shaving per pass with exact rational division and inward
-rounding.  It reaches the same fixpoint as propagate(.., BOUNDS_R).
+Three linear cases are revised in closed form, with no support query per
+value: `checkers.supported_window` reads the window of supported values off
+the other variables' hull.  They are `<=` at every notion (its least sum
+sits at set endpoints, which sets and boxes share), `=` at bounds(R), and
+`=` at bounds(Z) when every coefficient is +-1 (the integer sums of such
+terms fill their hull, so a real support implies an integer one).
+
+propagate_linear_br() is the pass-based shave for linear constraints: O(n)
+bound shaving per pass with exact rational division and inward rounding.
+It reaches the same fixpoint as propagate(.., BOUNDS_R) by a different
+algorithm, and is kept as an independent reference for it.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from .checkers import (
     _find_int_support,
     _real_support,
     candidates,
+    supported_window,
 )
 from .constraints import (
     Constraint,
@@ -93,7 +102,10 @@ def propagate(
             return _find_int_support(c, var, value, cands) is not None
 
         values = d.get(var).values
-        if notion is ConsistencyNotion.DOMAIN:
+        window = supported_window(d, c, notion, var)
+        if window is not None:
+            kept = values[window.start : window.stop]
+        elif notion is ConsistencyNotion.DOMAIN:
             kept = tuple(x for x in values if supported(x))
         else:
             lo, hi = 0, len(values) - 1

@@ -346,6 +346,7 @@ def test_criterion_4_propagator_certification(capsys):
     three = list(itertools.product(_subsets((-1, 0, 2)), repeat=3))
     for c, notions in [
         (LinEq((LinTerm(1, x1), LinTerm(-2, x2), LinTerm(2, x3)), 1), ALL_NOTIONS),
+        (LinEq((LinTerm(1, x1), LinTerm(-1, x2), LinTerm(1, x3)), 1), ALL_NOTIONS),
         (LinLe((LinTerm(2, x1), LinTerm(-1, x2), LinTerm(1, x3)), 2), ALL_NOTIONS),
         (LinNe((LinTerm(1, x1), LinTerm(1, x2), LinTerm(-1, x3)), 0), ALL_NOTIONS),
         (AllDifferent((x1, x2, x3)), ALL_NOTIONS),
@@ -358,6 +359,7 @@ def test_criterion_4_propagator_certification(capsys):
     four = list(itertools.product(_subsets((0, 1)), repeat=4))
     for c, notions in [
         (LinEq((LinTerm(1, x1), LinTerm(2, x2), LinTerm(-3, x3), LinTerm(-3, x4)), 0), ALL_NOTIONS),
+        (LinEq((LinTerm(1, x1), LinTerm(1, x2), LinTerm(-1, x3), LinTerm(-1, x4)), 0), ALL_NOTIONS),
         (LinLe((LinTerm(1, x1), LinTerm(1, x2), LinTerm(1, x3), LinTerm(1, x4)), 2), ALL_NOTIONS),
         (LinNe((LinTerm(1, x1), LinTerm(1, x2), LinTerm(1, x3), LinTerm(1, x4)), 2), ALL_NOTIONS),
         (AllDifferent((x1, x2, x3, x4)), ALL_NOTIONS),

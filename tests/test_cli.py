@@ -313,3 +313,21 @@ def test_check_with_products_past_64_bits_answers(tmp_path, capsys):
         "x=4611686018427387904 y=4611686018427387904\n"
         "nodes=3 failures=0 solutions=2 complete=yes\n"
     )
+
+
+def test_power_past_64_bits_answers(tmp_path, capsys):
+    # y = 2**32 would need x = 2**64: no support, not an error
+    p = tmp_path / "pow.model"
+    p.write_text(
+        "var x in [0,10]\n"
+        "var y in {0,4294967296}\n"
+        "constraint c1: monobij x = pow(1,2) y\n"
+    )
+    for notion in ("domain", "bounds-d", "bounds-r"):
+        code, out, err = run(capsys, "check", str(p), "--notion", notion)
+        assert (code, err) == (1, "")
+        assert out.startswith(f"c1 @ {notion}: INCONSISTENT\n")
+        assert " 4294967296: no support\n" in out
+    code, out, err = run(capsys, "propagate", str(p))
+    assert (code, err) == (0, "")
+    assert out.startswith("var x in {0}\nvar y in {0}\n")

@@ -196,6 +196,11 @@ def test_monobij_sat():
 
 
 def test_mono_eval_overflow():
-    f = PowK(1, 3)
+    # exact past 64 bits; refused only where the power must pass 256 bits
+    assert mono_eval_int(PowK(1, 2), 1 << 32) == 1 << 64
+    assert mono_eval_int(PowK(-3, 3), 1 << 40) == -3 << 120
+    assert mono_eval_int(PowK(1, 10**18), -1) == 1
     with pytest.raises(OverflowError):
-        mono_eval_int(f, 1 << 40)
+        mono_eval_int(PowK(1, 7), 1 << 40)
+    with pytest.raises(OverflowError):
+        mono_eval_int(PowK(1, 10**18), 2)

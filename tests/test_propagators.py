@@ -26,7 +26,7 @@ from fdlab import (
     propagate_linear_br,
 )
 from fdlab.checkers import ConsistencyNotion, check, support
-from fdlab.constraints import AllDifferent, real_defined, sat_real
+from fdlab.constraints import AllDifferent, real_defined, sat_real, vars_of
 from fdlab.domains import INT64_MAX, INT64_MIN, member_box
 from fdlab.oracle import _real_support_exists, oracle_fixpoint
 
@@ -263,3 +263,62 @@ def test_alldifferent_real_propagation_squeezes_pinned_neighbours():
     assert not res.failed
     assert res.domain.get(X2).values == (3,)
     assert res.domain.get(X3).values == (4,)
+
+
+def _peeled_fixpoint(d, c, notion):
+    """Greatest fixpoint by per-value `support` queries: every unsupported
+    value at the domain notion, unsupported ends at the bounds notions."""
+    changed = True
+    while changed:
+        changed = False
+        for v in vars_of(c):
+            values = list(d.get(v).values)
+            if notion is ConsistencyNotion.DOMAIN:
+                kept = [x for x in values if support(d, c, notion, v, x).supported]
+            else:
+                kept = values
+                while kept and not support(d, c, notion, v, kept[0]).supported:
+                    kept = kept[1:]
+                while kept and not support(d, c, notion, v, kept[-1]).supported:
+                    kept = kept[:-1]
+            if not kept:
+                return None
+            if len(kept) < len(values):
+                d = d.with_set(v, IntSet(tuple(kept)))
+                changed = True
+    return d
+
+
+def test_closed_form_linear_revise_equals_per_value_peeling():
+    rng = fresh_rng(27)
+    z_differs_from_r = 0
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        vs = make_vars(n)
+        unit = rng.random() < 0.5
+        coeffs = (-1, 1) if unit else (-5, -3, -2, -1, 1, 2, 3, 5)
+        c = random_linear(rng, vs, coeffs=coeffs)
+        d = random_domain(rng, n, max_size=6 if n < 4 else 4)
+        want = {notion: _peeled_fixpoint(d, c, notion) for notion in NOTIONS}
+        for notion in NOTIONS:
+            got = propagate(d, c, notion)
+            assert got.domain == want[notion], (c, d, notion)
+        z, r = want[ConsistencyNotion.BOUNDS_Z], want[ConsistencyNotion.BOUNDS_R]
+        if isinstance(c, LinEq) and not unit and z != r:
+            z_differs_from_r += 1
+    # bounds(Z) of an equation with a coefficient other than +-1 is not the
+    # real window, so it must stay a per-value search
+    assert z_differs_from_r > 0
+
+
+def test_linear_revise_over_a_wide_range_reads_the_window():
+    # x holds 300,001 values; only four of them have a support
+    x, y = make_vars(2)
+    d = Domain((IntSet.interval(0, 300_000), IntSet.interval(0, 5)))
+    le = LinLe((LinTerm(1, x), LinTerm(1, y)), 3)
+    for notion in NOTIONS:
+        res = propagate(d, le, notion)
+        assert res.domain.get(x) == IntSet.interval(0, 3), notion
+    eq = LinEq((LinTerm(1, x), LinTerm(-1, y)), 0)
+    res = propagate(d, eq, ConsistencyNotion.BOUNDS_Z)
+    assert res.domain.get(x) == IntSet.interval(0, 5)
