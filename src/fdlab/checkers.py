@@ -25,12 +25,15 @@ alldifferent, corner evaluation for the product and monotone-function
 constraints.  No floating point anywhere.  A support of var=value never
 reads var's own set.
 
-Non-linear integer supports are found by a scan in lex order.  Linear ones
-are searched exactly for the same first support: `<=` and `!=` by a greedy
-that gives each variable its first value that the remaining variables can
-still complete (polynomial), `=` by meet in the middle (exponential in half
-the variables, as bounds(Z) checking of a linear equation is NP-hard),
-unless the gcd of the coefficients does not divide the remainder.
+An integer support is a tuple of ints in vars_of(c) order; only `support`
+makes a `Valuation`, of the witness it reports.  Non-linear ones come from
+a scan in lex order that tests each tuple with `constraints.holds`.  Linear
+ones are searched exactly for the same first support: `<=` and `!=` by a
+greedy that gives each variable its first value that the remaining
+variables can still complete (polynomial), `=` by meet in the middle
+(exponential in half the variables, as bounds(Z) checking of a linear
+equation is NP-hard), unless the gcd of the coefficients does not divide
+the remainder.
 Where its tables would be large, a depth-first walk that solves the last
 variable by division goes first, for a bounded time, so that an early
 support over wide ranges costs no table.  Every linear support, integer or
@@ -64,9 +67,11 @@ from .constraints import (
     MonoBij,
     ProductLe,
     RealSemanticsUndefined,
+    holds,
     mono_eval_int,
     mono_inverse_frac,
     mono_requires_nonneg,
+    # bound only because perfbench/tracing.py wraps this name (ROADMAP item 4)
     sat_int,
     vars_of,
 )
@@ -313,25 +318,19 @@ CandidateFn = Callable[[VarId], Sequence[int]]
 
 def _find_int_support(
     c: Constraint, pin: VarId, value: int, candidates: CandidateFn
-) -> Valuation | None:
-    """Lex-first integral support of pin=value over the other variables."""
+) -> tuple[int, ...] | None:
+    """Lex-first integral support of pin=value over the other variables, as
+    the values of vars_of(c) in order (pin's in its place), or None."""
     if isinstance(c, (LinEq, LinLe, LinNe)):
         free, coeffs, rest, op = _pinned_linear(c, pin, value)
         chosen = _scan_linear_py([candidates(v) for v in free], coeffs, rest, op)
         if chosen is None:
             return None
-        bindings = dict(zip(free, chosen))
-        bindings[pin] = value
-        return Valuation(bindings)
-    # generic catalog: plain nested loops over candidate values
-    free = [v for v in vars_of(c) if v != pin]
-    for combo in itertools.product(*(candidates(v) for v in free)):
-        bindings = dict(zip(free, combo))
-        bindings[pin] = value
-        theta = Valuation(bindings)
-        if sat_int(c, theta):
-            return theta
-    return None
+        i = vars_of(c).index(pin)
+        return chosen[:i] + (value,) + chosen[i:]
+    # generic catalog: every tuple in lex order, pin held at value
+    pools = [(value,) if v == pin else candidates(v) for v in vars_of(c)]
+    return next((t for t in itertools.product(*pools) if holds(c, t)), None)
 
 
 # --------------------------------------------------------------------------
@@ -535,8 +534,10 @@ def support(
     if cands is None:
         supported, w = _real_support(d, c, var, value)
         return SupportWitness(var, value, supported, w)
-    w = _find_int_support(c, var, value, cands)
-    return SupportWitness(var, value, w is not None, w)
+    t = _find_int_support(c, var, value, cands)
+    if t is None:
+        return SupportWitness(var, value, False, None)
+    return SupportWitness(var, value, True, Valuation(dict(zip(vars_of(c), t))))
 
 
 def check(d: Domain, c: Constraint, notion: ConsistencyNotion) -> CheckResult:

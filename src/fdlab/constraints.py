@@ -1,12 +1,12 @@
 """Constraint catalog with exact integer and real satisfaction semantics.
 
-Every constraint evaluates under two readings: sat_int over integral
-valuations and sat_real over rational valuations.  For Mod, ReifLinLe and
-Table there is no natural real reading; sat_real returns the UNDEFINED
-sentinel and real-based checkers raise RealSemanticsUndefined instead.
-sat_int is total on integral valuations: out-of-definition tuples (e.g. a
-mod with x3 <= 0, a reified bool outside {0,1}) are unsatisfying, never
-errors.
+Every constraint evaluates under two readings: `holds` over int tuples in
+vars_of(c) order (sat_int is its checked entry for integral valuations)
+and sat_real over rational valuations.  For Mod, ReifLinLe and Table there
+is no natural real reading; sat_real returns the UNDEFINED sentinel and
+real-based checkers raise RealSemanticsUndefined instead.  `holds` is
+total: out-of-definition tuples (e.g. a mod with x3 <= 0, a reified bool
+outside {0,1}) are unsatisfying, never errors.
 """
 
 from __future__ import annotations
@@ -350,8 +350,29 @@ def _require_exact_vars(c: Constraint, theta: Valuation) -> None:
         raise ValueError("valuation must bind exactly the constraint's variables")
 
 
-def _linear_sum_int(terms: tuple[LinTerm, ...], theta: Valuation) -> int:
-    return sum(t.coeff * theta.int_value(t.var) for t in terms)
+def holds(c: Constraint, vals: tuple[int, ...]) -> bool:
+    """Integer satisfaction of c by vals, the values of vars_of(c) in order."""
+    if isinstance(c, _Linear):
+        lhs = sum(t.coeff * x for t, x in zip(c.terms, vals))
+        return getattr(operator, c.op)(lhs, c.rhs)
+    if isinstance(c, AllDifferent):
+        return len(set(vals)) == len(vals)
+    if isinstance(c, ProductLe):
+        return vals[0] * vals[1] <= vals[2]
+    if isinstance(c, MonoBij):
+        x1, x2 = vals
+        if mono_requires_nonneg(c.func) and x2 < 0:
+            return False
+        return x1 == mono_eval_int(c.func, x2)
+    if isinstance(c, Mod):
+        x1, x2, x3 = vals
+        return x3 >= 1 and x1 == x2 % x3
+    if isinstance(c, ReifLinLe):
+        b, lhs = vals[0], sum(t.coeff * x for t, x in zip(c.terms, vals[1:]))
+        return b in (0, 1) and (b == 1) == (lhs <= c.rhs)
+    if isinstance(c, Table):
+        return vals in c.rows
+    raise TypeError(f"not a constraint: {c!r}")
 
 
 def sat_int(c: Constraint, theta: Valuation) -> bool:
@@ -359,33 +380,7 @@ def sat_int(c: Constraint, theta: Valuation) -> bool:
     _require_exact_vars(c, theta)
     if not theta.is_integral:
         raise ValueError("sat_int requires an integral valuation")
-    if isinstance(c, _Linear):
-        return getattr(operator, c.op)(_linear_sum_int(c.terms, theta), c.rhs)
-    if isinstance(c, AllDifferent):
-        vals = [theta.int_value(v) for v in c.vars]
-        return len(set(vals)) == len(vals)
-    if isinstance(c, ProductLe):
-        lhs = theta.int_value(c.x1) * theta.int_value(c.x2)
-        return lhs <= theta.int_value(c.x3)
-    if isinstance(c, MonoBij):
-        x2 = theta.int_value(c.x2)
-        if mono_requires_nonneg(c.func) and x2 < 0:
-            return False
-        return theta.int_value(c.x1) == mono_eval_int(c.func, x2)
-    if isinstance(c, Mod):
-        x3 = theta.int_value(c.x3)
-        if x3 < 1:
-            return False
-        return theta.int_value(c.x1) == theta.int_value(c.x2) % x3
-    if isinstance(c, ReifLinLe):
-        b = theta.int_value(c.b)
-        if b not in (0, 1):
-            return False
-        return (b == 1) == (_linear_sum_int(c.terms, theta) <= c.rhs)
-    if isinstance(c, Table):
-        row = tuple(theta.int_value(v) for v in c.vars)
-        return row in c.rows
-    raise TypeError(f"not a constraint: {c!r}")
+    return holds(c, tuple(theta.int_value(v) for v in vars_of(c)))
 
 
 def sat_real(c: Constraint, theta: Valuation):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -31,9 +31,10 @@ def checked_int64(value: int) -> int:
     return value
 
 
-@dataclass(frozen=True, order=True)
-class VarId:
-    """Dense variable identifier: position in the model plus a display name."""
+class VarId(NamedTuple):
+    """Dense variable identifier: position in the model plus a display name;
+    a named tuple, so it equals the plain tuple (index, name) and orders as
+    that tuple does."""
 
     index: int
     name: str

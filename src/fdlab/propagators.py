@@ -65,15 +65,16 @@ class PropagationResult:
     def between(
         cls, before: Domain, after: Domain | None, vars_: Iterable[VarId]
     ) -> "PropagationResult":
-        """`after`, with the values of `vars_` it lost from `before`."""
-        if after is None:
-            return cls(None, ())
+        """`after`, with the values of `vars_` it lost from `before`; each
+        set of `after` is a subset of the one in `before`."""
+        if after is None or after is before:
+            return cls(after, ())
         pruned = []
         for v in sorted(set(vars_)):
             old, new = before.get(v), after.get(v)
-            gone = () if old is new else tuple(x for x in old if x not in new)
-            if gone:
-                pruned.append((v, gone))
+            if new.size < old.size:
+                kept = set(new.values)
+                pruned.append((v, tuple(x for x in old.values if x not in kept)))
         return cls(after, tuple(pruned))
 
 

@@ -2,8 +2,9 @@
 
 Branching always picks the lowest-index variable whose set is not yet a
 singleton, so node counts are comparable across consistency notions on the
-same model.  Chronological backtracking only; solutions are verified
-against sat_int before being reported.
+same model.  Chronological backtracking only, over an explicit stack, so
+the depth is not bounded by Python's recursion limit; solutions are
+verified against sat_int before being reported.
 """
 
 from __future__ import annotations
@@ -62,36 +63,32 @@ def solve(
     """
     stats = SearchStats()
     solutions: list[Valuation] = []
-
-    def rec(dom: Domain, depth: int) -> bool:
-        """Returns True when the search should stop early."""
+    stack = [(d if d is not None else m.initial, 0)]
+    while stack:
+        dom, depth = stack.pop()
         if node_budget is not None and stats.nodes >= node_budget:
             stats.complete = False
-            return True
+            break
         stats.nodes += 1
         stats.max_depth = max(stats.max_depth, depth)
         res = propagate_all(m, dom)
         stats.pruned += sum(len(vals) for _, vals in res.pruned)
         if res.failed:
             stats.failures += 1
-            return False
+            continue
         dom = res.domain
-        if all(s.is_singleton for s in dom.sets):
-            theta = Valuation({v: dom.get(v).inf for v in m.vars})
-            for c, _ in m.constraints:
-                sub = Valuation({v: theta[v] for v in vars_of(c)})
-                if not sat_int(c, sub):  # propagation never invents solutions
-                    raise AssertionError(f"unsound fixpoint at leaf {theta}")
-            solutions.append(theta)
-            stats.solutions += 1
-            if limit is not None and len(solutions) >= limit:
-                stats.complete = False
-                return True
-            return False
-        for child in branch(dom, strategy):
-            if rec(child, depth + 1):
-                return True
-        return False
-
-    rec(d if d is not None else m.initial, 0)
+        if not all(s.is_singleton for s in dom.sets):
+            # the left child goes on top, so it is searched first
+            stack += [(ch, depth + 1) for ch in reversed(branch(dom, strategy))]
+            continue
+        theta = Valuation({v: dom.get(v).inf for v in m.vars})
+        for c, _ in m.constraints:
+            sub = Valuation({v: theta[v] for v in vars_of(c)})
+            if not sat_int(c, sub):  # propagation never invents solutions
+                raise AssertionError(f"unsound fixpoint at leaf {theta}")
+        solutions.append(theta)
+        stats.solutions += 1
+        if limit is not None and len(solutions) >= limit:
+            stats.complete = False
+            break
     return solutions, stats

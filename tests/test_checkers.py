@@ -6,7 +6,14 @@ import operator
 
 import pytest
 
-from conftest import fresh_rng, make_vars, random_domain, random_int_constraint
+from conftest import (
+    fresh_rng,
+    make_vars,
+    random_domain,
+    random_int_constraint,
+    random_monofunc,
+    random_set,
+)
 from fdlab import (
     AllDifferent,
     Domain,
@@ -16,6 +23,8 @@ from fdlab import (
     LinNe,
     LinTerm,
     Mod,
+    MonoBij,
+    ProductLe,
     RealSemanticsUndefined,
     ReifLinLe,
     Table,
@@ -28,7 +37,7 @@ from fdlab import (
 )
 from fdlab import checkers
 from fdlab.checkers import ConsistencyNotion, _scan_linear_py
-from fdlab.constraints import real_defined, sat_int, sat_real
+from fdlab.constraints import real_defined, sat_int, sat_real, vars_of
 from fdlab.domains import Valuation, member, member_box, range_of
 from fdlab.oracle import _real_support_exists, oracle_consistent
 
@@ -338,6 +347,55 @@ def test_linear_search_walk_then_table_matches_brute_force(monkeypatch):
         want = _lex_first(free_vals, coeffs, target, "eq")
         assert _scan_linear_py(free_vals, coeffs, target, "eq") == want, (
             free_vals, coeffs, target)
+
+
+def _lex_first_support(d, c, notion, pin, value):
+    """Brute-force reference: the first tuple in itertools.product order over
+    the other variables' candidates that sat_int accepts, as a Valuation."""
+    free = [v for v in vars_of(c) if v != pin]
+
+    def cands(v):
+        s = d.get(v)
+        if notion is ConsistencyNotion.BOUNDS_Z:
+            return range(s.inf, s.sup + 1)
+        return s.values
+
+    for combo in itertools.product(*map(cands, free)):
+        theta = Valuation(dict(zip(free, combo)) | {pin: value})
+        if sat_int(c, theta):
+            return theta
+    return None
+
+
+def test_generic_integer_witnesses_are_lex_first():
+    rng = fresh_rng(15)
+    for _ in range(200):
+        kind = rng.choice(["alldiff", "table", "product", "mod", "reif", "monobij"])
+        n = {"product": 3, "mod": 3, "monobij": 2}.get(kind, rng.randint(2, 4))
+        vs = make_vars(n)
+        d = random_domain(rng, n, lo=-6, hi=6, max_size=4)
+        if kind == "alldiff":
+            c = AllDifferent(tuple(vs))
+        elif kind == "table":
+            rows = {tuple(rng.choice(d.get(v).values) for v in vs) for _ in range(4)}
+            c = Table(tuple(vs), tuple(sorted(rows)))
+        elif kind == "product":
+            c = ProductLe(*vs)
+        elif kind == "mod":
+            c = Mod(*vs)
+        elif kind == "monobij":
+            c = MonoBij(vs[0], random_monofunc(rng), vs[1])
+        else:
+            terms = tuple(LinTerm(rng.choice([-2, -1, 1, 2]), v) for v in vs[1:])
+            c = ReifLinLe(vs[0], terms, rng.randint(-6, 6))
+            d = d.with_set(vs[0], random_set(rng, -1, 2, max_size=3))
+        for notion in NOTIONS[:3]:
+            for var in vs:
+                for value in d.get(var).values:
+                    want = _lex_first_support(d, c, notion, var, value)
+                    w = checkers.support(d, c, notion, var, value)
+                    assert w.supported == (want is not None), (c, d, notion, var, value)
+                    assert w.witness == want, (c, d, notion, var, value)
 
 
 def test_singleton_bounds_checked_once():

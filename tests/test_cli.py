@@ -331,3 +331,15 @@ def test_power_past_64_bits_answers(tmp_path, capsys):
     code, out, err = run(capsys, "propagate", str(p))
     assert (code, err) == (0, "")
     assert out.startswith("var x in {0}\nvar y in {0}\n")
+
+
+def test_solve_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # one search level per variable: 1,500 levels, past Python's default
+    # recursion limit of 1,000
+    p = tmp_path / "deep.model"
+    p.write_text("".join(f"var x{i} in [0,1]\n" for i in range(1500)))
+    code, out, err = run(capsys, "solve", str(p), "--limit", "1")
+    assert (code, err) == (0, "")
+    solution, summary = out.splitlines()
+    assert solution == " ".join(f"x{i}=0" for i in range(1500))
+    assert "solutions=1" in summary
