@@ -19,8 +19,8 @@ keeps that window instead of asking each value.
 
 The reported integer support is the lexicographically first one, with
 each variable's candidates in ascending order.  Real supports are decided
-by exact closed forms over rationals: the linear greedy below, run over
-the real boxes, for linear constraints, point-interval counting for
+by exact closed forms over rationals: the linear walk below, run over the
+real boxes, for linear constraints, point-interval counting for
 alldifferent, corner evaluation for the product and monotone-function
 constraints.  No floating point anywhere.  A support of var=value never
 reads var's own set.
@@ -28,23 +28,22 @@ reads var's own set.
 An integer support is a tuple of ints in vars_of(c) order; only `support`
 makes a `Valuation`, of the witness it reports.  Non-linear ones come from
 a scan in lex order that tests each tuple with `constraints.holds`.  Linear
-ones are searched exactly for the same first support: `<=` and `!=` by a
-greedy that gives each variable its first value that the remaining
-variables can still complete (polynomial), `=` by meet in the middle
-(exponential in half the variables, as bounds(Z) checking of a linear
-equation is NP-hard), unless the gcd of the coefficients does not divide
-the remainder.
-Where its tables would be large, a depth-first walk that solves the last
-variable by division goes first, for a bounded time, so that an early
-support over wide ranges costs no table.  Every linear support, integer or
-real, reads the remainder left once var=value is pinned (`_pinned_linear`)
-and the least and greatest sum of each suffix of the other terms
-(`_hull`).  The real one is bounds(Z)'s question without integrality: the
-same greedy over the boxes, with exact division where the integer one
-rounds, and at `=` each value also kept within reach of the greatest
-suffix sum.  All support arithmetic is exact Python ints and Fractions:
-values are checked to fit 64 bits where they enter (see `domains`), and no
-intermediate sum or product is bounded.
+and reified linear ones come from one lex-first walk (`_lex_walk`) in
+which each variable tries only the values whose remainder the later terms
+can still meet.  At `<=` it never backtracks (polynomial); `!=` is two
+`<=` walks, below and above the target, and a reified `<=` one per value
+of its bool.  At `=` it may backtrack, as bounds(Z) checking of a linear
+equation is NP-hard: an equation goes to meet in the middle (exponential
+in half the variables) unless the gcd of the coefficients does not divide
+the remainder, and where its tables would be large the walk goes first,
+for a bounded time, so that an early support over wide ranges costs no
+table.  Every linear support, integer or real, reads the remainder left
+once var=value is pinned (`_pinned_linear`) and the least and greatest sum
+of each suffix of the other terms (`_hull`).  The real one is the walk
+over the boxes, with exact division where the integer one rounds, which
+never backtracks.  All support arithmetic is exact Python ints and
+Fractions: values are checked to fit 64 bits where they enter (see
+`domains`), and no intermediate sum or product is bounded.
 """
 
 from __future__ import annotations
@@ -67,6 +66,7 @@ from .constraints import (
     MonoBij,
     ProductLe,
     RealSemanticsUndefined,
+    ReifLinLe,
     holds,
     mono_eval_int,
     mono_inverse_frac,
@@ -127,17 +127,13 @@ def _size(vs: Sequence[int]) -> int:
     return vs.stop - vs.start if isinstance(vs, range) else len(vs)
 
 
-def _first_at_least(vs: Sequence[int], x: int) -> int | None:
-    """First value of vs that is >= x, or None."""
-    if isinstance(vs, range):
-        v = max(vs.start, x)
-        return v if v < vs.stop else None
-    i = bisect_left(vs, x)
-    return vs[i] if i < len(vs) else None
-
-
-def _window(vs: Sequence[int], a: int, rest: int, lo: int, hi: int) -> range:
-    """Positions in vs of the values v with lo <= rest - a*v <= hi."""
+def _window(
+    vs: Sequence[int], a: int, rest: int, lo: int, hi: int | None = None
+) -> range:
+    """Positions in vs of the values v with lo <= rest - a*v <= hi, where hi
+    None puts no upper limit on rest - a*v."""
+    if hi is None:  # a limit that rest - a*v meets for every v in vs
+        hi = rest - min(a * vs[0], a * vs[-1])
     if a < 0:
         a, rest, lo, hi = -a, -rest, -hi, -lo
     vlo, vhi = -((hi - rest) // a), (rest - lo) // a
@@ -148,9 +144,10 @@ def _window(vs: Sequence[int], a: int, rest: int, lo: int, hi: int) -> range:
 
 def _pinned_linear(
     c: Constraint, pin: VarId, value: int
-) -> tuple[list[VarId], list[int], int, str]:
-    """The other variables of linear c, their coefficients, and the remainder
-    their sum must stand in relation c.op to once pin=value."""
+) -> tuple[list[VarId], list[int], int]:
+    """The other variables of the sum in c (linear or reified linear), their
+    coefficients, and the remainder their sum is compared with once
+    pin=value."""
     others, coeffs, rest = [], [], c.rhs
     for t in c.terms:
         if t.var == pin:
@@ -158,7 +155,7 @@ def _pinned_linear(
         else:
             others.append(t.var)
             coeffs.append(t.coeff)
-    return others, coeffs, rest, c.op
+    return others, coeffs, rest
 
 
 def _hull(ends: Sequence[Sequence[int]], coeffs: list[int]) -> list[tuple[int, int]]:
@@ -170,30 +167,6 @@ def _hull(ends: Sequence[Sequence[int]], coeffs: list[int]) -> list[tuple[int, i
         lo, hi = (a * vs[0], a * vs[-1]) if a > 0 else (a * vs[-1], a * vs[0])
         hull[i] = (hull[i + 1][0] + lo, hull[i + 1][1] + hi)
     return hull
-
-
-def _greedy(
-    free_vals: list[Sequence[int]], coeffs: list[int], target: int, op: str
-) -> tuple[int, ...] | None:
-    # Each variable takes its first value that the terms after it can still
-    # complete: for le, when their least sum fits the remainder; for ne,
-    # unless they reach one sum only and it is the forbidden remainder.
-    hull = _hull(free_vals, coeffs)
-    lo, hi = hull[0]
-    if lo > target if op == "le" else lo == hi == target:
-        return None
-    out = []
-    rest = target
-    for a, vs, (lo, hi) in zip(coeffs, free_vals, hull[1:]):
-        v = vs[0]
-        if op == "ne":
-            if lo == hi and a * v + lo == rest:
-                v = vs[1]
-        elif a < 0:  # a*v <= rest - lo means v >= the ceiling of its quotient
-            v = _first_at_least(vs, -((lo - rest) // a))
-        out.append(v)
-        rest -= a * v
-    return tuple(out)
 
 
 def _lex_sums(free_vals: list[Sequence[int]], coeffs: list[int]) -> list[int]:
@@ -214,29 +187,33 @@ def _lex_assignment(free_vals: list[Sequence[int]], rank: int) -> tuple[int, ...
 
 
 def _lex_walk(
-    free_vals: list[Sequence[int]], coeffs: list[int], target: int, budget: float
+    free_vals: list[Sequence[int]],
+    coeffs: list[int],
+    target: int,
+    op: str,
+    budget: float = math.inf,
 ) -> tuple[int, ...] | None:
-    # Depth-first in lex order over all but the last variable, which is
-    # solved by division plus a range test or bisect.  A value is tried only
-    # if the terms after it can still reach its remainder.  Raises
-    # _OutOfBudget when it has tried `budget` values.
-    vs, a, m = free_vals[-1], coeffs[-1], len(free_vals) - 1
-
-    def last(r: int) -> tuple[int, ...] | None:
-        v, rem = divmod(r, a)
-        return (v,) if rem == 0 and _first_at_least(vs, v) == v else None
-
-    if m == 0:
-        return last(target)
+    """Lex-ascending first assignment with sum(coeff*value) `op` target, for
+    op "eq" or "le", depth first.  Raises _OutOfBudget when it has tried
+    `budget` values."""
+    # Variable i tries only the values whose remainder the later terms can
+    # still meet: within their hull at eq, at or above their least sum at le.
+    # The hull of no terms is (0, 0), so the last variable's window holds
+    # exactly the values that complete the sum.  At le the first value of
+    # every window completes, so the walk never backtracks.
     hull = _hull(free_vals, coeffs)
-    if not hull[0][0] <= target <= hull[0][1]:
+    if target < hull[0][0] or (op == "eq" and target > hull[0][1]):
         return None
-    chosen = [0] * m
-    rests = [target] * m
-    stack = [iter(_window(free_vals[0], coeffs[0], target, *hull[1]))]
+    if not free_vals:
+        return ()
+    if op == "le":
+        hull = [(lo, None) for lo, _ in hull]
+    chosen = [0] * len(free_vals)
+    stack = [(iter(_window(free_vals[0], coeffs[0], target, *hull[1])), target)]
     while stack:
         i = len(stack) - 1
-        k = next(stack[i], None)
+        window, rest = stack[i]
+        k = next(window, None)
         if k is None:
             stack.pop()
             continue
@@ -244,15 +221,11 @@ def _lex_walk(
         if budget < 0:
             raise _OutOfBudget
         v = chosen[i] = free_vals[i][k]
-        rest = rests[i] - coeffs[i] * v
-        if i + 1 < m:
-            rests[i + 1] = rest
-            window = _window(free_vals[i + 1], coeffs[i + 1], rest, *hull[i + 2])
-            stack.append(iter(window))
-        else:
-            t = last(rest)
-            if t is not None:
-                return tuple(chosen) + t
+        if i + 1 == len(free_vals):
+            return tuple(chosen)
+        rest -= coeffs[i] * v
+        window = _window(free_vals[i + 1], coeffs[i + 1], rest, *hull[i + 2])
+        stack.append((iter(window), rest))
     return None
 
 
@@ -276,7 +249,7 @@ def _meet_in_the_middle(
     if target % math.gcd(*coeffs):  # every sum is a multiple of the gcd
         return None
     if n < 3:  # no split leaves two variables on the right
-        return _lex_walk(free_vals, coeffs, target, math.inf)
+        return _lex_walk(free_vals, coeffs, target, "eq")
     # count[k]: number of assignments of the first k variables
     count = list(itertools.accumulate(map(_size, free_vals), mul, initial=1))
     m, cost = None, math.inf
@@ -287,7 +260,7 @@ def _meet_in_the_middle(
             m, cost = k, walk + table
     if cost > _EAGER_COST:
         try:
-            return _lex_walk(free_vals, coeffs, target, cost // 32)
+            return _lex_walk(free_vals, coeffs, target, "eq", cost // 32)
         except _OutOfBudget:
             pass
     left, right = free_vals[1:m], free_vals[m:]
@@ -310,7 +283,15 @@ def _scan_linear_py(
     """Lex-ascending first assignment with sum(coeff*value) `op` target."""
     if op == "eq":
         return _meet_in_the_middle(free_vals, coeffs, target)
-    return _greedy(free_vals, coeffs, target, op)
+    if op == "le":
+        return _lex_walk(free_vals, coeffs, target, "le")
+    least = tuple(vs[0] for vs in free_vals)  # the lex-first assignment of all
+    if sum(map(mul, coeffs, least)) != target:
+        return least
+    # != is < or >: the lex-smaller of the first sum below and the first above
+    below = _lex_walk(free_vals, coeffs, target - 1, "le")
+    above = _lex_walk(free_vals, [-a for a in coeffs], -target - 1, "le")
+    return min((t for t in (below, above) if t is not None), default=None)
 
 
 CandidateFn = Callable[[VarId], Sequence[int]]
@@ -321,9 +302,18 @@ def _find_int_support(
 ) -> tuple[int, ...] | None:
     """Lex-first integral support of pin=value over the other variables, as
     the values of vars_of(c) in order (pin's in its place), or None."""
-    if isinstance(c, (LinEq, LinLe, LinNe)):
-        free, coeffs, rest, op = _pinned_linear(c, pin, value)
-        chosen = _scan_linear_py([candidates(v) for v in free], coeffs, rest, op)
+    if isinstance(c, (LinEq, LinLe, LinNe, ReifLinLe)):
+        free, coeffs, rest = _pinned_linear(c, pin, value)
+        free_vals = [candidates(v) for v in free]
+        if isinstance(c, ReifLinLe):  # b first: b = 0 where sum > rest, then b = 1
+            bs = (value,) if pin == c.b else candidates(c.b)
+            for b, signed, target in (0, [-a for a in coeffs], -rest - 1), (1, coeffs, rest):
+                chosen = _lex_walk(free_vals, signed, target, "le") if b in bs else None
+                if chosen is not None:
+                    chosen = chosen if pin == c.b else (b,) + chosen
+                    break
+        else:
+            chosen = _scan_linear_py(free_vals, coeffs, rest, c.op)
         if chosen is None:
             return None
         i = vars_of(c).index(pin)
@@ -340,13 +330,14 @@ def _find_int_support(
 def _real_support_linear(
     d: Domain, c: Constraint, pin: VarId, value: int
 ) -> tuple[bool, Valuation | None]:
-    # The integer greedy over the real boxes, dividing exactly where it rounds.
-    others, coeffs, rest, op = _pinned_linear(c, pin, value)
+    # The integer walk over the real boxes: each variable takes the least
+    # value its window allows, dividing exactly where the integer one rounds.
+    others, coeffs, rest = _pinned_linear(c, pin, value)
     boxes = [(d.inf(v), d.sup(v)) for v in others]
     hull = _hull(boxes, coeffs)
     lo, hi = hull[0]
     bindings: dict[VarId, int | Fraction] = {pin: value}
-    if op == "ne":  # infeasible only when the boxes reach the forbidden sum alone
+    if c.op == "ne":  # infeasible only when the boxes reach the forbidden sum alone
         if lo == hi == rest:
             return False, None
         # the least corner, or a midpoint of one box if that corner hits rest
@@ -355,13 +346,13 @@ def _real_support_linear(
             v, l, u = next((v, l, u) for v, (l, u) in zip(others, boxes) if l < u)
             bindings[v] = Fraction(l + u, 2)
         return True, Valuation(bindings)
-    if lo > rest or (op == "eq" and rest > hi):
+    if lo > rest or (c.op == "eq" and rest > hi):
         return False, None
     for v, a, (l, _), (lo, hi) in zip(others, coeffs, boxes, hull[1:]):
         # the least x in the box with a*x + lo <= rest, and at eq a*x + hi >= rest
         if a < 0:
             x = l if a * l + lo <= rest else Fraction(rest - lo, a)
-        elif op == "eq":
+        elif c.op == "eq":
             x = l if a * l + hi >= rest else Fraction(rest - hi, a)
         else:
             x = l
@@ -517,13 +508,10 @@ def supported_window(
             return None
     elif not isinstance(c, LinLe):
         return None
-    others, coeffs, rhs, _ = _pinned_linear(c, var, 0)
+    others, coeffs, rhs = _pinned_linear(c, var, 0)
     lo, hi = _hull([(d.inf(v), d.sup(v)) for v in others], coeffs)[0]
-    values = d.get(var).values
     a = next(t.coeff for t in c.terms if t.var == var)
-    if isinstance(c, LinLe):  # no upper limit: one that every remainder meets
-        hi = rhs - min(a * values[0], a * values[-1])
-    return _window(values, a, rhs, lo, hi)
+    return _window(d.get(var).values, a, rhs, lo, hi if isinstance(c, LinEq) else None)
 
 
 def support(

@@ -167,24 +167,22 @@ def mono_increasing(f: MonoFunc) -> bool:
     return True
 
 
-def mono_eval_frac(f: MonoFunc, x: Fraction) -> Fraction:
-    if isinstance(f, Affine):
-        return f.a * x + f.b
-    if isinstance(f, PowK):
-        return f.a * x**f.k
-    return 1 + x + x * x + x * x * x
-
-
-def mono_eval_int(f: MonoFunc, x: int) -> int:
+def mono_eval_frac(f: MonoFunc, x: int | Fraction) -> int | Fraction:
+    """g(x), exact: an int for an int x, a Fraction for a Fraction x."""
     if isinstance(f, Affine):
         return f.a * x + f.b
     if isinstance(f, PowK):
         # k is unbounded: refuse a power whose lower bound 2**((b-1)*k), for
-        # b bits of |x|, reaches 2**256, so what is computed stays under 512 bits
-        if abs(x) > 1 and (abs(x).bit_length() - 1) * f.k >= 256:
+        # b bits of the larger of |numerator| and denominator, reaches
+        # 2**256, so what is computed stays under 512 bits
+        m = max(abs(x.numerator), x.denominator)
+        if m > 1 and (m.bit_length() - 1) * f.k >= 256:
             raise OverflowError(f"{x}**{f.k} exceeds 256 bits")
         return f.a * x**f.k
     return 1 + x + x * x + x * x * x
+
+
+mono_eval_int = mono_eval_frac  # exact on ints too: ints in, ints out
 
 
 def _int_root(n: int, k: int) -> int:
@@ -193,6 +191,8 @@ def _int_root(n: int, k: int) -> int:
         raise ValueError("negative radicand")
     if n == 0:
         return 0
+    if k >= n.bit_length():  # 2**k > n
+        return 1
     x = max(1, int(round(n ** (1.0 / k))))
     while x > 1 and x**k > n:
         x -= 1

@@ -9,8 +9,9 @@ integers and `fractions.Fraction`; floating point is never consulted.
 64 bits is a rule on input only: `checked_int64` runs where a value enters
 (set members, coefficients, right-hand sides, table rows), and everything
 computed from those values is exact, unbounded Python ints.  The one
-exception is x**k in `constraints.mono_eval_int`: its k is unbounded, so a
-power that certainly reaches 2**256 raises OverflowError instead.
+exception is x**k in `constraints.mono_eval_frac` (also `mono_eval_int`):
+its k is unbounded, so a power that certainly reaches 2**256 raises
+OverflowError instead.
 """
 
 from __future__ import annotations

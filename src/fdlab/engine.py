@@ -1,13 +1,13 @@
 """Model container and the event-driven propagation engine.
 
 The engine runs single-constraint propagators to a common fixpoint with a
-FIFO queue deduplicated per propagator.  Re-queueing is event-filtered:
-every propagator reacts to bound changes of its variables, and only those
-whose notion searches supports in the actual sets (`checkers.sees_holes`:
-domain, bounds(D)) also react to interior holes.  Filtering is lossless and
-the fixpoint is queue-order independent; both facts are exercised by tests
-via the `filter_events` and `queue_policy` knobs.  A failed fixpoint prunes
-nothing.
+FIFO queue deduplicated per propagator.  Re-queueing is event-filtered,
+read off the values each run pruned: every propagator reacts to bound
+changes of its variables, and only those whose notion searches supports in
+the actual sets (`checkers.sees_holes`: domain, bounds(D)) also react to
+interior holes.  Filtering is lossless and the fixpoint is queue-order
+independent; both facts are exercised by tests via the `filter_events` and
+`queue_policy` knobs.  A failed fixpoint prunes nothing.
 """
 
 from __future__ import annotations
@@ -37,11 +37,6 @@ class EventKind(Enum):
 class Event:
     var: VarId
     kind: EventKind
-
-
-_BOUND_KINDS = frozenset(
-    {EventKind.LOWER_BOUND, EventKind.UPPER_BOUND, EventKind.FIXED}
-)
 
 
 @dataclass(frozen=True)
@@ -143,10 +138,6 @@ def _diff_events(old: Domain, new: Domain, vars_: tuple[VarId, ...]) -> list[Eve
     return events
 
 
-def _wakes(notion: ConsistencyNotion, kinds: set[EventKind]) -> bool:
-    return sees_holes(notion) or bool(kinds & _BOUND_KINDS)
-
-
 def _run(
     m: Model,
     d: Domain,
@@ -174,19 +165,19 @@ def _run(
         res = propagate(d, c, notion)
         if res.failed:
             return res, records
-        events = _diff_events(d, res.domain, vars_of(c))
-        if events:
+        if res.pruned:
             if record:
+                events = _diff_events(d, res.domain, vars_of(c))
                 records.append(TraceRecord(m.labels[i], tuple(events), res.domain))
-            kinds_by_var: dict[VarId, set[EventKind]] = {}
-            for ev in events:
-                kinds_by_var.setdefault(ev.var, set()).add(ev.kind)
-            for v, kinds in kinds_by_var.items():
-                for j in watchers.get(v, ()):
+            lost = dict(res.pruned)
+            for v in [v for v in vars_of(c) if v in lost]:
+                old = d.get(v)  # a FIXED event always comes with a bound move
+                bound_moved = lost[v][0] == old.inf or lost[v][-1] == old.sup
+                for j in watchers[v]:
                     if j == i or j in queued:
                         continue
                     _, jnotion = m.constraints[j]
-                    if not filter_events or _wakes(jnotion, kinds):
+                    if not filter_events or bound_moved or sees_holes(jnotion):
                         pending.append(j)
                         queued.add(j)
         d = res.domain

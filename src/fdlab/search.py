@@ -34,17 +34,17 @@ class SearchStats:
     complete: bool = True
 
 
+def _split(d: Domain, idx: int, strategy: BranchStrategy) -> list[Domain]:
+    s = d.sets[idx]
+    k = 1 if strategy is BranchStrategy.MIN_SPLIT else (s.size + 1) // 2
+    return [d.with_set(idx, IntSet(s.values[:k])), d.with_set(idx, IntSet(s.values[k:]))]
+
+
 def branch(d: Domain, strategy: BranchStrategy = BranchStrategy.MIN_SPLIT) -> list[Domain]:
     """Split the first unfixed variable into two non-empty children."""
     for idx, s in enumerate(d.sets):
         if not s.is_singleton:
-            if strategy is BranchStrategy.MIN_SPLIT:
-                k = 1
-            else:
-                k = (s.size + 1) // 2
-            left = IntSet(s.values[:k])
-            right = IntSet(s.values[k:])
-            return [d.with_set(idx, left), d.with_set(idx, right)]
+            return _split(d, idx, strategy)
     raise ValueError("cannot branch: every variable is fixed")
 
 
@@ -63,9 +63,10 @@ def solve(
     """
     stats = SearchStats()
     solutions: list[Valuation] = []
-    stack = [(d if d is not None else m.initial, 0)]
+    # each node carries the index before which its parent's sets are fixed
+    stack = [(d if d is not None else m.initial, 0, 0)]
     while stack:
-        dom, depth = stack.pop()
+        dom, depth, first = stack.pop()
         if node_budget is not None and stats.nodes >= node_budget:
             stats.complete = False
             break
@@ -77,9 +78,11 @@ def solve(
             stats.failures += 1
             continue
         dom = res.domain
-        if not all(s.is_singleton for s in dom.sets):
+        sets = dom.sets
+        first = next((i for i in range(first, len(sets)) if not sets[i].is_singleton), None)
+        if first is not None:
             # the left child goes on top, so it is searched first
-            stack += [(ch, depth + 1) for ch in reversed(branch(dom, strategy))]
+            stack += [(ch, depth + 1, first) for ch in reversed(_split(dom, first, strategy))]
             continue
         theta = Valuation({v: dom.get(v).inf for v in m.vars})
         for c, _ in m.constraints:

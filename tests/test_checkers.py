@@ -300,7 +300,7 @@ def test_linear_search_on_gadget_sized_equations():
 
 
 def test_linear_search_solves_one_free_variable_by_division():
-    # listing this range would take hours; a quotient and a range test do not
+    # listing this range would take hours; a window read off the hull does not
     wide = [range(-10**15, 10**15)]
     assert _scan_linear_py(wide, [7], 7 * (10**15 - 3), "eq") == (10**15 - 3,)
     assert _scan_linear_py(wide, [-7], 7 * 10**15, "eq") == (-10**15,)
@@ -308,6 +308,8 @@ def test_linear_search_solves_one_free_variable_by_division():
     assert _scan_linear_py(wide, [7], 7 * 10**14 + 1, "eq") is None
     assert _scan_linear_py(wide, [-3], 10, "le") == (-3,)
     assert _scan_linear_py(wide, [1], -10**15, "ne") == (-10**15 + 1,)
+    # the singleton suffix completes the least value to the forbidden sum
+    assert _scan_linear_py(wide + [(5,)], [1, 1], -10**15 + 5, "ne") == (-10**15 + 1, 5)
 
 
 def test_linear_search_finds_early_supports_over_wide_ranges():

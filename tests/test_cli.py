@@ -333,6 +333,26 @@ def test_power_past_64_bits_answers(tmp_path, capsys):
     assert out.startswith("var x in {0}\nvar y in {0}\n")
 
 
+def test_power_with_a_huge_exponent_answers(tmp_path, capsys):
+    # 1**k and 0**k are cheap for any k; 2**k is not and must not be built
+    p = tmp_path / "pow.model"
+    p.write_text(
+        "var x in [0,1]\n"
+        "var y in [0,1]\n"
+        "constraint c1: monobij x = pow(1,1000000000000) y\n"
+    )
+    for notion in ("domain", "bounds-d", "bounds-z", "bounds-r"):
+        code, out, err = run(capsys, "check", str(p), "--notion", notion)
+        assert (code, out, err) == (0, f"c1 @ {notion}: consistent\n", "")
+    code, out, err = run(capsys, "solve", str(p))
+    assert (code, err) == (0, "")
+    assert out.startswith("x=0 y=0\nx=1 y=1\n")
+    # half-integer samples would need (1/2)**k: refused, not attempted
+    code, out, err = run(capsys, "analyze-monotone", str(p))
+    assert code == 2
+    assert "exceeds 256 bits" in err and "internal" not in err
+
+
 def test_solve_deeper_than_the_recursion_limit(tmp_path, capsys):
     # one search level per variable: 1,500 levels, past Python's default
     # recursion limit of 1,000

@@ -22,6 +22,7 @@ from fdlab import (
     Mod,
     ProductLe,
     RealSemanticsUndefined,
+    ReifLinLe,
     propagate,
     propagate_linear_br,
 )
@@ -322,3 +323,14 @@ def test_linear_revise_over_a_wide_range_reads_the_window():
     eq = LinEq((LinTerm(1, x), LinTerm(-1, y)), 0)
     res = propagate(d, eq, ConsistencyNotion.BOUNDS_Z)
     assert res.domain.get(x) == IntSet.interval(0, 5)
+
+
+def test_reified_sum_of_eight_variables_propagates_at_domain():
+    # b <-> x0 + ... + x7 <= -1 over [0,9]: the sum is never negative, so
+    # b=1 has no support; 10**8 tuples per value for a product scan
+    b, *xs = make_vars(9)
+    d = Domain((IntSet.interval(0, 1),) + (IntSet.interval(0, 9),) * 8)
+    c = ReifLinLe(b, tuple(LinTerm(1, x) for x in xs), -1)
+    res = propagate(d, c, ConsistencyNotion.DOMAIN)
+    assert res.pruned == ((b, (1,)),)
+    assert res.domain.get(b) == IntSet.of([0])
