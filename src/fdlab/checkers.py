@@ -68,7 +68,7 @@ from .constraints import (
     RealSemanticsUndefined,
     ReifLinLe,
     holds,
-    mono_eval_int,
+    mono_eval_vs64,
     mono_inverse_frac,
     mono_requires_nonneg,
     # bound only because perfbench/tracing.py wraps this name (ROADMAP item 4)
@@ -431,14 +431,14 @@ def _real_support_monobij(
         if l2 > u2:
             return False, None
     if pin == c.x2:
-        y = Fraction(mono_eval_int(c.func, l2)) if l2 == u2 else None
+        y = Fraction(mono_eval_vs64(c.func, l2)) if l2 == u2 else None
         if y is None:  # pinned value clipped away by the restriction
             return False, None
         if Fraction(l1) <= y <= Fraction(u1):
             return True, Valuation({c.x1: y, c.x2: Fraction(l2)})
         return False, None
-    ya = mono_eval_int(c.func, l2)
-    yb = mono_eval_int(c.func, u2)
+    ya = mono_eval_vs64(c.func, l2)
+    yb = mono_eval_vs64(c.func, u2)
     lo_y, hi_y = (ya, yb) if ya <= yb else (yb, ya)
     if not (lo_y <= value <= hi_y):
         return False, None

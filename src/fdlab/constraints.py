@@ -184,6 +184,19 @@ def mono_eval_frac(f: MonoFunc, x: int | Fraction) -> int | Fraction:
 
 mono_eval_int = mono_eval_frac  # exact on ints too: ints in, ints out
 
+_PAST_64 = 1 << 256
+
+
+def mono_eval_vs64(f: MonoFunc, x: int) -> int:
+    """g(x) for an int x, to be compared with 64-bit values only: a power
+    that would pass 2**256 comes back as 2**256 on the side of its sign,
+    which lies beyond every 64-bit value just as the power does."""
+    try:
+        return mono_eval_int(f, x)
+    except OverflowError:  # only PowK raises, and only for |x| >= 2
+        negative = (f.a < 0) != (x < 0 and f.k % 2 == 1)
+        return -_PAST_64 if negative else _PAST_64
+
 
 def _int_root(n: int, k: int) -> int:
     """Floor k-th root of n >= 0."""
@@ -363,7 +376,7 @@ def holds(c: Constraint, vals: tuple[int, ...]) -> bool:
         x1, x2 = vals
         if mono_requires_nonneg(c.func) and x2 < 0:
             return False
-        return x1 == mono_eval_int(c.func, x2)
+        return x1 == mono_eval_vs64(c.func, x2)
     if isinstance(c, Mod):
         x1, x2, x3 = vals
         return x3 >= 1 and x1 == x2 % x3

@@ -11,7 +11,8 @@ integers and `fractions.Fraction`; floating point is never consulted.
 computed from those values is exact, unbounded Python ints.  The one
 exception is x**k in `constraints.mono_eval_frac` (also `mono_eval_int`):
 its k is unbounded, so a power that certainly reaches 2**256 raises
-OverflowError instead.
+OverflowError instead.  Where such a power is only compared with 64-bit
+values, `constraints.mono_eval_vs64` stands it in by +-2**256.
 """
 
 from __future__ import annotations

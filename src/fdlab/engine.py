@@ -1,20 +1,27 @@
 """Model container and the event-driven propagation engine.
 
 The engine runs single-constraint propagators to a common fixpoint with a
-FIFO queue deduplicated per propagator.  Re-queueing is event-filtered,
-read off the values each run pruned: every propagator reacts to bound
-changes of its variables, and only those whose notion searches supports in
-the actual sets (`checkers.sees_holes`: domain, bounds(D)) also react to
-interior holes.  Filtering is lossless and the fixpoint is queue-order
-independent; both facts are exercised by tests via the `filter_events` and
-`queue_policy` knobs.  A failed fixpoint prunes nothing.
+FIFO queue deduplicated per propagator.  The queue starts with every
+propagator, or, where the caller states that the domain was narrowed from
+a common fixpoint on a few variables only (`changed`), with the watchers
+of those variables: the others are still at their fixpoint, since every
+propagator is idempotent and reads only its own variables.  Search seeds
+each child node that way with the variable it split.  Re-queueing is
+event-filtered, read off the values each run pruned: every propagator
+reacts to bound changes of its variables, and only those whose notion
+searches supports in the actual sets (`checkers.sees_holes`: domain,
+bounds(D)) also react to interior holes.  Filtering is lossless and the
+fixpoint is queue-order independent; both facts are exercised by tests via
+the `filter_events` and `queue_policy` knobs.  A failed fixpoint prunes
+nothing.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterable
 
 from .checkers import ConsistencyNotion, sees_holes
 from .constraints import Constraint, MonoBij, ReifLinLe, mono_requires_nonneg, real_defined, vars_of
@@ -45,6 +52,8 @@ class Model:
     initial: Domain
     constraints: tuple[tuple[Constraint, ConsistencyNotion], ...]
     labels: tuple[str, ...] = ()
+    #: indices of the constraints on each variable, by variable index
+    watchers: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.labels == ():
@@ -52,6 +61,11 @@ class Model:
                 self, "labels", tuple(f"c{i + 1}" for i in range(len(self.constraints)))
             )
         self._validate()
+        watchers: list[list[int]] = [[] for _ in self.vars]
+        for i, (c, _) in enumerate(self.constraints):
+            for v in vars_of(c):
+                watchers[v.index].append(i)
+        object.__setattr__(self, "watchers", tuple(map(tuple, watchers)))
 
     def _validate(self) -> None:
         for i, v in enumerate(self.vars):
@@ -144,13 +158,12 @@ def _run(
     record: bool,
     filter_events: bool,
     queue_policy: str,
+    changed: Iterable[VarId] | None = None,
 ) -> tuple[PropagationResult, list[TraceRecord]]:
-    watchers: dict[VarId, list[int]] = {}
-    for i, (c, _) in enumerate(m.constraints):
-        for v in vars_of(c):
-            watchers.setdefault(v, []).append(i)
-
-    pending = deque(range(len(m.constraints)))
+    if changed is None:
+        pending = deque(range(len(m.constraints)))
+    else:
+        pending = deque(sorted({i for v in changed for i in m.watchers[v.index]}))
     queued = set(pending)
     start = d
     records: list[TraceRecord] = []
@@ -173,7 +186,7 @@ def _run(
             for v in [v for v in vars_of(c) if v in lost]:
                 old = d.get(v)  # a FIXED event always comes with a bound move
                 bound_moved = lost[v][0] == old.inf or lost[v][-1] == old.sup
-                for j in watchers[v]:
+                for j in m.watchers[v.index]:
                     if j == i or j in queued:
                         continue
                     _, jnotion = m.constraints[j]
@@ -188,12 +201,21 @@ def propagate_all(
     m: Model,
     d: Domain | None = None,
     *,
+    changed: Iterable[VarId] | None = None,
     filter_events: bool = True,
     queue_policy: str = "fifo",
 ) -> PropagationResult:
-    """Common fixpoint of all attached propagators, or failure."""
+    """Common fixpoint of all attached propagators, or failure.
+
+    `changed` states a fact about d, not a setting: d was narrowed from a
+    common fixpoint of m on these variables only.  The queue then starts
+    with their watchers, in constraint order, and every other propagator
+    is taken to be at its fixpoint already; where that does not hold, the
+    result may not be a fixpoint.  None (the default) runs every
+    propagator.
+    """
     res, _ = _run(
-        m, d if d is not None else m.initial, False, filter_events, queue_policy
+        m, d if d is not None else m.initial, False, filter_events, queue_policy, changed
     )
     return res
 

@@ -3,8 +3,11 @@
 Branching always picks the lowest-index variable whose set is not yet a
 singleton, so node counts are comparable across consistency notions on the
 same model.  Chronological backtracking only, over an explicit stack, so
-the depth is not bounded by Python's recursion limit; solutions are
-verified against sat_int before being reported.
+the depth is not bounded by Python's recursion limit.  The root runs every
+propagator; a child differs from its parent's fixpoint only on the split
+variable, so its engine queue starts with that variable's watchers alone.
+Each solution is verified with `constraints.holds` on every constraint
+before it is reported.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .constraints import sat_int, vars_of
+from .constraints import holds, vars_of
 from .domains import Domain, IntSet, Valuation
 from .engine import Model, propagate_all
 
@@ -72,7 +75,8 @@ def solve(
             break
         stats.nodes += 1
         stats.max_depth = max(stats.max_depth, depth)
-        res = propagate_all(m, dom)
+        # a child (depth > 0) was split from a fixpoint on variable `first`
+        res = propagate_all(m, dom, changed=(m.vars[first],) if depth else None)
         stats.pruned += sum(len(vals) for _, vals in res.pruned)
         if res.failed:
             stats.failures += 1
@@ -84,10 +88,11 @@ def solve(
             # the left child goes on top, so it is searched first
             stack += [(ch, depth + 1, first) for ch in reversed(_split(dom, first, strategy))]
             continue
-        theta = Valuation({v: dom.get(v).inf for v in m.vars})
+        vals = [s.inf for s in sets]
+        theta = Valuation({v: vals[v.index] for v in m.vars})
         for c, _ in m.constraints:
-            sub = Valuation({v: theta[v] for v in vars_of(c)})
-            if not sat_int(c, sub):  # propagation never invents solutions
+            if not holds(c, tuple(vals[v.index] for v in vars_of(c))):
+                # propagation never invents solutions
                 raise AssertionError(f"unsound fixpoint at leaf {theta}")
         solutions.append(theta)
         stats.solutions += 1

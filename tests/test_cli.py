@@ -351,15 +351,35 @@ def test_power_with_a_huge_exponent_answers(tmp_path, capsys):
     code, out, err = run(capsys, "analyze-monotone", str(p))
     assert code == 2
     assert "exceeds 256 bits" in err and "internal" not in err
+    # y=2 needs x = 2**(10**12), beyond x's sup of 1 without being built
+    p.write_text(p.read_text().replace("var y in [0,1]", "var y in [0,2]"))
+    for notion in ("domain", "bounds-d", "bounds-z", "bounds-r"):
+        code, out, err = run(capsys, "check", str(p), "--notion", notion)
+        assert code == 1 and "error:" not in err
+        assert out.startswith(f"c1 @ {notion}: INCONSISTENT\n")
 
 
-def test_solve_deeper_than_the_recursion_limit(tmp_path, capsys):
+def test_solve_deeper_than_the_recursion_limit(tmp_path, capsys, monkeypatch):
     # one search level per variable: 1,500 levels, past Python's default
     # recursion limit of 1,000
+    import fdlab.engine
+
+    runs = []
+    propagate = fdlab.engine.propagate
+    monkeypatch.setattr(
+        fdlab.engine, "propagate", lambda *args: runs.append(1) or propagate(*args)
+    )
     p = tmp_path / "deep.model"
-    p.write_text("".join(f"var x{i} in [0,1]\n" for i in range(1500)))
+    terms = " + ".join(f"1*x{i}" for i in range(0, 1500, 100))
+    p.write_text(
+        "".join(f"var x{i} in [0,1]\n" for i in range(1500))
+        + f"constraint c1: linle {terms} <= 5 @ domain\n"
+    )
     code, out, err = run(capsys, "solve", str(p), "--limit", "1")
     assert (code, err) == (0, "")
     solution, summary = out.splitlines()
     assert solution == " ".join(f"x{i}=0" for i in range(1500))
     assert "solutions=1" in summary
+    # a node runs only the constraints on its split variable: 16 runs for
+    # the root and the 15 splits of c1's variables, not one per node
+    assert len(runs) < 100

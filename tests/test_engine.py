@@ -6,6 +6,7 @@ import pytest
 from conftest import fresh_rng, make_vars, random_domain, random_int_constraint
 from fdlab import (
     Affine,
+    BranchStrategy,
     Domain,
     IntSet,
     LinEq,
@@ -24,6 +25,7 @@ from fdlab import (
 from fdlab.checkers import ConsistencyNotion as N
 from fdlab.constraints import real_defined
 from fdlab.engine import Model, ModelError
+from fdlab.search import _split
 
 
 def test_affine_chain_converges_to_the_common_interval():
@@ -128,6 +130,31 @@ def test_queue_policy_does_not_change_the_fixpoint():
         assert a.failed == b.failed
         if not a.failed:
             assert a.domain == b.domain
+
+
+def test_a_child_seeded_with_its_split_variable_reaches_the_same_fixpoint():
+    # a search child differs from its parent's fixpoint on one variable only
+    rng = fresh_rng(34)
+    compared = 0
+    for _ in range(200):
+        m = random_model(rng, nvars=rng.randint(2, 4))
+        if m is None:
+            continue
+        root = propagate_all(m)
+        if root.failed:
+            continue
+        for i, s in enumerate(root.domain.sets):
+            if s.is_singleton:
+                continue
+            for strategy in BranchStrategy:
+                for child in _split(root.domain, i, strategy):
+                    for policy in ("fifo", "lifo"):
+                        for filter_events in (True, False):
+                            kw = dict(queue_policy=policy, filter_events=filter_events)
+                            seeded = propagate_all(m, child, changed=(m.vars[i],), **kw)
+                            assert seeded == propagate_all(m, child, **kw)
+                            compared += 1
+    assert compared > 1000
 
 
 def test_trace_replay_of_the_linear_example():

@@ -11,7 +11,10 @@ from fdlab import (
     IntSet,
     LinEq,
     LinTerm,
+    SearchStats,
+    Valuation,
     branch,
+    propagate_all,
     solve,
 )
 from fdlab.checkers import ConsistencyNotion as N
@@ -104,6 +107,49 @@ def test_search_is_complete_against_brute_force():
         )
         compared += 1
     assert compared > 100
+
+
+def full_propagation_solve(m, strategy):
+    """DFS that runs every propagator at every node."""
+    stats = SearchStats()
+    solutions = []
+    stack = [(m.initial, 0)]
+    while stack:
+        dom, depth = stack.pop()
+        stats.nodes += 1
+        stats.max_depth = max(stats.max_depth, depth)
+        res = propagate_all(m, dom)
+        stats.pruned += sum(len(vals) for _, vals in res.pruned)
+        if res.failed:
+            stats.failures += 1
+        elif all(s.is_singleton for s in res.domain.sets):
+            solutions.append(Valuation({v: res.domain.get(v).inf for v in m.vars}))
+            stats.solutions += 1
+        else:
+            stack += [(ch, depth + 1) for ch in reversed(branch(res.domain, strategy))]
+    return solutions, stats
+
+
+def test_search_matches_full_propagation_at_every_node():
+    rng = fresh_rng(44)
+    compared = 0
+    for _ in range(250):
+        nvars = rng.randint(2, 4)
+        vs = make_vars(nvars)
+        d = random_domain(rng, nvars, max_size=5)
+        constraints = []
+        for _ in range(rng.randint(1, 3)):
+            c = random_int_constraint(rng, rng.sample(vs, rng.randint(2, nvars)))
+            pool = [N.DOMAIN, N.BOUNDS_D, N.BOUNDS_Z] + [N.BOUNDS_R] * real_defined(c)
+            constraints.append((c, rng.choice(pool)))
+        try:
+            m = Model(tuple(vs), d, tuple(constraints))
+        except ValueError:
+            continue
+        for strategy in BranchStrategy:
+            assert solve(m, strategy=strategy) == full_propagation_solve(m, strategy)
+        compared += 1
+    assert compared > 150
 
 
 def test_strategies_agree_on_the_solution_set():
