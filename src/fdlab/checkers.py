@@ -13,9 +13,12 @@ states them:
 the real boxes), `sees_holes` whether the second column reads the sets.
 `check` is one loop over the variables and the values needing support; the
 propagators and the engine read the same three functions.  Beside them,
-`supported_window` gives the linear cases where a notion's supported values
-are one window read off the other variables' hull, so that `propagate`
-keeps that window instead of asking each value.
+`supported_windows` gives the cases where a notion's supported values are
+a union of windows read off the other variables' ends, so that `propagate`
+keeps them instead of asking each value: linear `<=` at every notion, `=`
+at bounds(R) and at bounds(Z) with coefficients +-1, x1*x2 <= x3 at every
+notion, and alldifferent at bounds(R).  `SumHull` keeps a linear sum's hull
+over the boxes, so that a caller revising every term pays O(1) per term.
 
 The reported integer support is the lexicographically first one, with
 each variable's candidates in ascending order.  Real supports are decided
@@ -26,8 +29,11 @@ constraints.  No floating point anywhere.  A support of var=value never
 reads var's own set.
 
 An integer support is a tuple of ints in vars_of(c) order; only `support`
-makes a `Valuation`, of the witness it reports.  Non-linear ones come from
-a scan in lex order that tests each tuple with `constraints.holds`.  Linear
+makes a `Valuation`, of the witness it reports.  Product ones come from
+window lookups: for a fixed factor the product is linear in the other, so
+each variable in turn takes its least value that the later ones can still
+complete.  Other non-linear ones come from a scan in lex order that tests
+each tuple with `constraints.holds`.  Linear
 and reified linear ones come from one lex-first walk (`_lex_walk`) in
 which each variable tries only the values whose remainder the later terms
 can still meet.  At `<=` it never backtracks (polynomial); `!=` is two
@@ -140,6 +146,13 @@ def _window(
     if isinstance(vs, range):
         return range(max(vlo, vs.start) - vs.start, min(vhi + 1, vs.stop) - vs.start)
     return range(bisect_left(vs, vlo), bisect_right(vs, vhi))
+
+
+def _le_window(vs: Sequence[int], a: int, bound: int) -> range:
+    """Positions in vs of the values v with a*v <= bound; a may be 0."""
+    if a == 0:
+        return range(_size(vs) if bound >= 0 else 0)
+    return _window(vs, a, bound, 0)
 
 
 def _pinned_linear(
@@ -318,9 +331,42 @@ def _find_int_support(
             return None
         i = vars_of(c).index(pin)
         return chosen[:i] + (value,) + chosen[i:]
+    if isinstance(c, ProductLe):
+        return _product_support(c, pin, value, candidates)
     # generic catalog: every tuple in lex order, pin held at value
     pools = [(value,) if v == pin else candidates(v) for v in vars_of(c)]
     return next((t for t in itertools.product(*pools) if holds(c, t)), None)
+
+
+def _least_le(vs: Sequence[int], a: int, bound: int) -> int | None:
+    """The least v in vs with a*v <= bound, or None."""
+    w = _le_window(vs, a, bound)
+    return vs[w.start] if w else None
+
+
+def _product_support(
+    c: ProductLe, pin: VarId, value: int, candidates: CandidateFn
+) -> tuple[int, ...] | None:
+    # With one factor fixed the product is linear in the other, so its least
+    # value over a set sits at the set's ends.  Each variable in turn takes
+    # its least value that the later ones can still complete: with x3 = v,
+    # x1 needs x1*g <= v for an end g of x2's candidates; with a factor
+    # pinned, the other one needs f*value <= x3's greatest candidate.  x3 is
+    # then the least candidate at or above the product.
+    if pin == c.x3:
+        s1, s2 = candidates(c.x1), candidates(c.x2)
+        firsts = [_least_le(s1, g, value) for g in (s2[0], s2[-1])]
+        x1 = min((f for f in firsts if f is not None), default=None)
+        if x1 is None:
+            return None
+        return x1, _least_le(s2, x1, value), value
+    other = c.x2 if pin == c.x1 else c.x1
+    s3 = candidates(c.x3)
+    f = _least_le(candidates(other), value, s3[-1])
+    if f is None:
+        return None
+    x3 = _least_le(s3, -1, -f * value)
+    return (value, f, x3) if pin == c.x1 else (f, value, x3)
 
 
 # --------------------------------------------------------------------------
@@ -489,29 +535,99 @@ def candidates(d: Domain, notion: ConsistencyNotion) -> CandidateFn | None:
     return None
 
 
-def supported_window(
-    d: Domain, c: Constraint, notion: ConsistencyNotion, var: VarId
-) -> range | None:
-    """Positions in var's values of those with a support at `notion`, when
-    the notion's supports of c form one window read off the other variables'
-    hull; None when each value must be searched.
+class SumHull:
+    """Least and greatest value of a linear sum over the boxes of a domain,
+    kept per term, so that the hull of the terms other than one variable's
+    costs O(1), and so does an update when that variable's set narrows."""
 
-    That holds for `<=` at every notion (a least sum sits at set endpoints),
-    for `=` at bounds(R), and for `=` at bounds(Z) when every coefficient is
-    +-1 (the integer sums over integer boxes then fill their hull).
+    def __init__(self, d: Domain, c: Constraint) -> None:
+        self.coeff = {t.var: t.coeff for t in c.terms}
+        self.part: dict[VarId, tuple[int, int]] = {}
+        self.lo = self.hi = 0
+        for v in self.coeff:
+            self.narrow(v, d.get(v))
+
+    def narrow(self, var: VarId, s: IntSet) -> None:
+        a = self.coeff[var]
+        lo, hi = (a * s.inf, a * s.sup) if a > 0 else (a * s.sup, a * s.inf)
+        old_lo, old_hi = self.part.get(var, (0, 0))
+        self.lo += lo - old_lo
+        self.hi += hi - old_hi
+        self.part[var] = lo, hi
+
+    def without(self, var: VarId) -> tuple[int, int]:
+        lo, hi = self.part[var]
+        return self.lo - lo, self.hi - hi
+
+
+def _union(windows: Sequence[range]) -> tuple[range, ...]:
+    """The positions of the windows, as ascending, disjoint, non-empty ones."""
+    out: list[range] = []
+    for w in sorted((w for w in windows if w), key=lambda w: w.start):
+        if out and w.start <= out[-1].stop:
+            out[-1] = range(out[-1].start, max(out[-1].stop, w.stop))
+        else:
+            out.append(w)
+    return tuple(out)
+
+
+def supported_windows(
+    d: Domain,
+    c: Constraint,
+    notion: ConsistencyNotion,
+    var: VarId,
+    hull: SumHull | None = None,
+) -> tuple[range, ...] | None:
+    """Positions in var's values of those with a support at `notion`, as
+    ascending, disjoint, non-empty windows read off the other variables'
+    ends; None when each value must be searched.  `hull`, for a linear c,
+    is the sum's hull over d, if the caller keeps one.
+
+    - `<=` at every notion (a least sum sits at set ends, which sets and
+      boxes share), `=` at bounds(R), and `=` at bounds(Z) when every
+      coefficient is +-1 (the integer sums over integer boxes then fill
+      their hull): one window.
+    - x1*x2 <= x3 at every notion: for a fixed factor the product is linear
+      in the other one, so its least value over a set sits at the set's
+      ends, which the set's box shares.  x3 keeps the values at or above
+      the least corner product; x1 keeps v with l*v <= u3 or u*v <= u3,
+      for x2's ends l, u and x3's sup u3 (two windows, maybe with a gap),
+      and x2 likewise.
+    - alldifferent at bounds(R): a box of positive length avoids any finite
+      set of reals, so only the other variables' point boxes F collide; the
+      windows lie between the values of F, and none exist if F repeats one.
     """
+    values = d.get(var).values
     if isinstance(c, LinEq):
         if notion is not ConsistencyNotion.BOUNDS_R and not (
             notion is ConsistencyNotion.BOUNDS_Z
             and all(abs(t.coeff) == 1 for t in c.terms)
         ):
             return None
+    elif isinstance(c, ProductLe):
+        l1, u1, l2, u2 = d.inf(c.x1), d.sup(c.x1), d.inf(c.x2), d.sup(c.x2)
+        if var == c.x3:  # v >= the least corner product
+            least = min(l1 * l2, l1 * u2, u1 * l2, u1 * u2)
+            return _union([_le_window(values, -1, -least)])
+        l, u = (l2, u2) if var == c.x1 else (l1, u1)
+        u3 = d.sup(c.x3)
+        return _union([_le_window(values, l, u3), _le_window(values, u, u3)])
+    elif isinstance(c, AllDifferent) and notion is ConsistencyNotion.BOUNDS_R:
+        fixed = [d.inf(v) for v in c.vars if v != var and d.inf(v) == d.sup(v)]
+        if len(set(fixed)) < len(fixed):
+            return ()
+        windows, start = [], 0
+        for f in sorted(fixed):
+            windows.append(range(start, bisect_left(values, f)))
+            start = bisect_right(values, f)
+        return _union(windows + [range(start, len(values))])
     elif not isinstance(c, LinLe):
         return None
-    others, coeffs, rhs = _pinned_linear(c, var, 0)
-    lo, hi = _hull([(d.inf(v), d.sup(v)) for v in others], coeffs)[0]
-    a = next(t.coeff for t in c.terms if t.var == var)
-    return _window(d.get(var).values, a, rhs, lo, hi if isinstance(c, LinEq) else None)
+    if hull is None:
+        hull = SumHull(d, c)
+    lo, hi = hull.without(var)
+    window = _window(values, hull.coeff[var], c.rhs, lo, hi if isinstance(c, LinEq) else None)
+    return _union([window])
 
 
 def support(

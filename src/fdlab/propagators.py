@@ -10,12 +10,15 @@ values need support and where supports are searched come from the notion
 table in `checkers`.  Deletion order does not affect the result; the test
 suite certifies this against an exhaustive deletion-order oracle.
 
-Three linear cases are revised in closed form, with no support query per
-value: `checkers.supported_window` reads the window of supported values off
-the other variables' hull.  They are `<=` at every notion (its least sum
-sits at set endpoints, which sets and boxes share), `=` at bounds(R), and
-`=` at bounds(Z) when every coefficient is +-1 (the integer sums of such
-terms fill their hull, so a real support implies an integer one).
+Some cases are revised in closed form, with no support query per value:
+`checkers.supported_windows` reads the supported values off the other
+variables' ends as a union of windows, and says why for each case: linear
+`<=` at every notion, `=` at bounds(R) and at bounds(Z) with coefficients
++-1, x1*x2 <= x3 at every notion, and alldifferent at bounds(R).  The
+domain notion keeps the union, the bounds notions the span from the first
+window to the last.  A linear revise keeps one `checkers.SumHull` for the
+whole call and updates it when a term narrows, so that each window costs
+O(1) sum arithmetic.
 
 propagate_linear_br() is the pass-based shave for linear constraints: O(n)
 bound shaving per pass with exact rational division and inward rounding.
@@ -28,14 +31,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable
 
 from .checkers import (
     ConsistencyNotion,
+    SumHull,
     _find_int_support,
     _real_support,
     candidates,
-    supported_window,
+    supported_windows,
 )
 from .constraints import (
     Constraint,
@@ -89,6 +94,7 @@ def propagate(
     """
     before = d
     cvars = vars_of(c)
+    hull = SumHull(d, c) if isinstance(c, (LinEq, LinLe)) else None
     stable = i = 0
     while stable < len(cvars):
         var = cvars[i % len(cvars)]
@@ -103,9 +109,12 @@ def propagate(
             return _find_int_support(c, var, value, cands) is not None
 
         values = d.get(var).values
-        window = supported_window(d, c, notion, var)
-        if window is not None:
-            kept = values[window.start : window.stop]
+        windows = supported_windows(d, c, notion, var, hull)
+        if windows is not None:
+            if notion is ConsistencyNotion.DOMAIN and len(windows) > 1:
+                kept = tuple(chain.from_iterable(values[w.start : w.stop] for w in windows))
+            else:  # the bounds notions keep the holes between windows
+                kept = values[windows[0].start : windows[-1].stop] if windows else ()
         elif notion is ConsistencyNotion.DOMAIN:
             kept = tuple(x for x in values if supported(x))
         else:
@@ -121,6 +130,8 @@ def propagate(
         if not kept:
             return PropagationResult(None, ())
         d = d.with_set(var, IntSet(kept))
+        if hull is not None:
+            hull.narrow(var, d.get(var))
         stable = 1
     return PropagationResult.between(before, d, cvars)
 

@@ -400,6 +400,31 @@ def test_generic_integer_witnesses_are_lex_first():
                     assert w.witness == want, (c, d, notion, var, value)
 
 
+def test_product_witnesses_are_lex_first_over_signed_sets():
+    # the product support reads windows off the other factor's ends; sets
+    # around zero give factor ends of 0 and windows on both sides of a gap
+    rng = fresh_rng(16)
+    c = ProductLe(X1, X2, X3)
+    for _ in range(300):
+        d = random_domain(rng, 3, lo=-6, hi=6, max_size=rng.choice([1, 2, 4, 6]))
+        for notion in NOTIONS[:3]:
+            for var in (X1, X2, X3):
+                for value in d.get(var).values:
+                    want = _lex_first_support(d, c, notion, var, value)
+                    assert checkers.support(d, c, notion, var, value).witness == want
+
+
+def test_wide_product_check_answers():
+    # x*y <= 0 has no support with x, y >= 1; a scan would visit 10**10 pairs
+    d = dom3(range(1, 100_001), range(1, 100_001), [0])
+    res = check(d, ProductLe(X1, X2, X3), ConsistencyNotion.BOUNDS_Z)
+    assert not res.consistent
+    assert not any(w.supported for w in res.witnesses)
+    wide = dom3(range(-100_000, 100_001), [2, 3], [-7, 6])
+    w = checkers.support(wide, ProductLe(X1, X2, X3), ConsistencyNotion.BOUNDS_Z, X3, -7)
+    assert w.witness == Valuation({X1: -100_000, X2: 2, X3: -7})
+
+
 def test_singleton_bounds_checked_once():
     x = VarId(0, "x")
     d = Domain((IntSet.of([4]),))

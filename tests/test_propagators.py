@@ -26,7 +26,7 @@ from fdlab import (
     propagate,
     propagate_linear_br,
 )
-from fdlab.checkers import ConsistencyNotion, check, support
+from fdlab.checkers import ConsistencyNotion, check, support, supported_windows
 from fdlab.constraints import AllDifferent, real_defined, sat_real, vars_of
 from fdlab.domains import INT64_MAX, INT64_MIN, member_box
 from fdlab.oracle import _real_support_exists, oracle_fixpoint
@@ -310,6 +310,103 @@ def test_closed_form_linear_revise_equals_per_value_peeling():
     # bounds(Z) of an equation with a coefficient other than +-1 is not the
     # real window, so it must stay a per-value search
     assert z_differs_from_r > 0
+
+
+def test_closed_form_product_and_alldifferent_revise_equals_per_value_peeling():
+    # sets around zero: factor ends of 0, windows on both sides of a gap, and
+    # point boxes of alldifferent that collide
+    rng = fresh_rng(28)
+    seen = {"zero end": 0, "gap": 0, "collision": 0}
+    for _ in range(400):
+        if rng.random() < 0.5:
+            vs = make_vars(3)
+            c, notions = ProductLe(*vs), NOTIONS
+        else:
+            vs = make_vars(rng.randint(2, 5))
+            c, notions = AllDifferent(tuple(vs)), [ConsistencyNotion.BOUNDS_R]
+        d = random_domain(rng, len(vs), lo=-6, hi=6, max_size=rng.choice([1, 2, 4, 6]))
+        for notion in notions:
+            want = _peeled_fixpoint(d, c, notion)
+            assert propagate(d, c, notion).domain == want, (c, d, notion)
+        if isinstance(c, ProductLe):
+            seen["zero end"] += 0 in (d.inf(vs[0]), d.sup(vs[0]), d.inf(vs[1]), d.sup(vs[1]))
+            want = _peeled_fixpoint(d, c, ConsistencyNotion.DOMAIN)
+            if want is not None:
+                kept = want.get(vs[0])
+                seen["gap"] += d.get(vs[0]).clamp(kept.inf, kept.sup).size > kept.size
+        else:
+            fixed = [d.inf(v) for v in vs if d.get(v).is_singleton]
+            seen["collision"] += len(set(fixed)) < len(fixed)
+    assert all(seen.values()), seen
+
+
+def test_supported_windows_hold_exactly_the_supported_values():
+    rng = fresh_rng(29)
+    answered = 0
+    for _ in range(300):
+        roll = rng.random()
+        vs = make_vars(3 if roll < 0.4 else rng.randint(2, 4))
+        if roll < 0.4:
+            c = ProductLe(*vs)
+        elif roll < 0.7:
+            c = AllDifferent(tuple(vs))
+        else:
+            c = random_linear(rng, vs, kinds=(LinEq, LinLe))
+        d = random_domain(rng, len(vs), lo=-6, hi=6, max_size=rng.choice([1, 2, 4, 6]))
+        for notion in NOTIONS:
+            for var in vs:
+                windows = supported_windows(d, c, notion, var)
+                if windows is None:
+                    continue
+                answered += 1
+                got = [k for w in windows for k in w]
+                values = d.get(var).values
+                want = [k for k, x in enumerate(values) if support(d, c, notion, var, x).supported]
+                assert got == want, (c, d, notion, var)
+    assert answered > 1000
+
+
+def test_product_revise_keeps_both_sides_of_a_gap():
+    # x2 in [-5,5] and x3 <= -10 leave x1 <= -2 or x1 >= 2, and likewise x2
+    c = ProductLe(X1, X2, X3)
+    d = dom3(range(-4, 5), range(-5, 6), [-12, -10])
+    res = propagate(d, c, ConsistencyNotion.DOMAIN)
+    assert res.domain == dom3([-4, -3, -2, 2, 3, 4], [-5, -4, -3, 3, 4, 5], [-12, -10])
+    assert res.domain == oracle_fixpoint(d, c, ConsistencyNotion.DOMAIN)
+    for notion in NOTIONS[1:]:  # the ends have supports, so the bounds keep all
+        assert propagate(d, c, notion).domain == d
+    # a factor end of 0 is a coefficient of 0: it supports all values or none
+    d = dom3(range(-3, 4), range(0, 4), [-2, -1])
+    for notion in NOTIONS:
+        res = propagate(d, c, notion)
+        assert res.domain == dom3([-3, -2, -1], [1, 2, 3], [-2, -1]), notion
+
+
+def test_alldifferent_real_revise_fails_on_colliding_points():
+    c = AllDifferent((X1, X2, X3))
+    assert propagate(dom3([2], [2], range(1, 6)), c, ConsistencyNotion.BOUNDS_R).failed
+    # x3 alone sees no value: x1 and x2 collide whatever x3 takes
+    assert supported_windows(dom3([2], [2], range(1, 6)), c, ConsistencyNotion.BOUNDS_R, X3) == ()
+    res = propagate(dom3([2], [4], [2, 3, 4]), c, ConsistencyNotion.BOUNDS_R)
+    assert res.domain == dom3([2], [4], [3])
+
+
+def test_product_revise_over_a_wide_range_reads_the_windows():
+    # no x, y >= 1 has x*y <= 0; peeling would ask for 200,000 values
+    c = ProductLe(X1, X2, X3)
+    d = dom3(range(1, 100_001), range(1, 100_001), [0])
+    for notion in NOTIONS:
+        assert propagate(d, c, notion).failed, notion
+    # 2*x <= 6 or 3*x <= 6 leaves x <= 3; y and z keep their values
+    d = Domain((IntSet.interval(-100_000, 100_000), IntSet.of([2, 3]), IntSet.of([-6, 6])))
+    for notion in NOTIONS:
+        res = propagate(d, c, notion)
+        assert res.domain == d.with_set(X1, IntSet.interval(-100_000, 3)), notion
+    # y in [-5,5] and z <= -10 leave |x| >= 2, on both sides of a gap
+    d = Domain((IntSet.interval(-100_000, 100_000), IntSet.interval(-5, 5), IntSet.of([-12, -10])))
+    res = propagate(d, c, ConsistencyNotion.DOMAIN)
+    gap = IntSet(tuple(range(-100_000, -1)) + tuple(range(2, 100_001)))
+    assert res.domain.get(X1) == gap
 
 
 def test_linear_revise_over_a_wide_range_reads_the_window():
