@@ -13,12 +13,10 @@ states them:
 the real boxes), `sees_holes` whether the second column reads the sets.
 `check` is one loop over the variables and the values needing support; the
 propagators and the engine read the same three functions.  Beside them,
-`supported_windows` gives the cases where a notion's supported values are
-a union of windows read off the other variables' ends, so that `propagate`
-keeps them instead of asking each value: linear `<=` at every notion, `=`
-at bounds(R) and at bounds(Z) with coefficients +-1, x1*x2 <= x3 at every
-notion, and alldifferent at bounds(R).  `SumHull` keeps a linear sum's hull
-over the boxes, so that a caller revising every term pays O(1) per term.
+`closed_form` lists the cases where a notion's supported values are a
+union of windows read off the other variables' ends, which `propagate`
+keeps instead of asking each value, and `SumHull` keeps a linear sum's
+hull over the boxes, so that a caller revising every term pays O(1) each.
 
 The reported integer support is the lexicographically first one, with
 each variable's candidates in ascending order.  Real supports are decided
@@ -32,9 +30,11 @@ An integer support is a tuple of ints in vars_of(c) order; only `support`
 makes a `Valuation`, of the witness it reports.  Product ones come from
 window lookups: for a fixed factor the product is linear in the other, so
 each variable in turn takes its least value that the later ones can still
-complete.  Other non-linear ones come from a scan in lex order that tests
-each tuple with `constraints.holds`.  Linear
-and reified linear ones come from one lex-first walk (`_lex_walk`) in
+complete.  A strictly monotone g leaves one candidate for x1 = g(x2) once
+either side is pinned: g(value), or value's integral preimage.  Other
+non-linear ones come from a scan in lex order that tests each tuple with
+the class's `holds`.  Linear and reified linear ones come from one
+lex-first walk (`_lex_walk`) in
 which each variable tries only the values whose remainder the later terms
 can still meet.  At `<=` it never backtracks (polynomial); `!=` is two
 `<=` walks, below and above the target, and a reified `<=` one per value
@@ -73,13 +73,11 @@ from .constraints import (
     ProductLe,
     RealSemanticsUndefined,
     ReifLinLe,
-    holds,
     mono_eval_vs64,
     mono_inverse_frac,
     mono_requires_nonneg,
     # bound only because perfbench/tracing.py wraps this name (ROADMAP item 4)
     sat_int,
-    vars_of,
 )
 from .domains import Domain, IntSet, Valuation, VarId
 
@@ -329,13 +327,32 @@ def _find_int_support(
             chosen = _scan_linear_py(free_vals, coeffs, rest, c.op)
         if chosen is None:
             return None
-        i = vars_of(c).index(pin)
+        i = c.scope.index(pin)
         return chosen[:i] + (value,) + chosen[i:]
     if isinstance(c, ProductLe):
         return _product_support(c, pin, value, candidates)
+    if isinstance(c, MonoBij):
+        return _monobij_support(c, pin, value, candidates)
     # generic catalog: every tuple in lex order, pin held at value
-    pools = [(value,) if v == pin else candidates(v) for v in vars_of(c)]
-    return next((t for t in itertools.product(*pools) if holds(c, t)), None)
+    pools = [(value,) if v == pin else candidates(v) for v in c.scope]
+    return next((t for t in itertools.product(*pools) if c.holds(t)), None)
+
+
+def _monobij_support(
+    c: MonoBij, pin: VarId, value: int, candidates: CandidateFn
+) -> tuple[int, int] | None:
+    # g is strictly monotone, so a pinned variable leaves one value for the
+    # other: g(value) for x1, or value's integral preimage for x2
+    if pin == c.x2:
+        x1, x2 = mono_eval_vs64(c.func, value), value
+    else:
+        inv = mono_inverse_frac(c.func, Fraction(value))
+        if inv is None or inv.denominator != 1:
+            return None
+        x1, x2 = value, int(inv)
+    free, w = (c.x1, x1) if pin == c.x2 else (c.x2, x2)
+    found = c.holds((x1, x2)) and _window(candidates(free), 1, w, 0, 0)
+    return (x1, x2) if found else None
 
 
 def _least_le(vs: Sequence[int], a: int, bound: int) -> int | None:
@@ -497,17 +514,17 @@ def _real_support_monobij(
 def _real_support(
     d: Domain, c: Constraint, pin: VarId, value: int
 ) -> tuple[bool, Valuation | None]:
-    if isinstance(c, (LinEq, LinLe, LinNe)):
-        return _real_support_linear(d, c, pin, value)
+    if not c.real:
+        raise RealSemanticsUndefined(
+            f"{type(c).__name__} has no real semantics; bounds(R) undefined"
+        )
     if isinstance(c, AllDifferent):
         return _real_support_alldiff(d, c, pin, value)
     if isinstance(c, ProductLe):
         return _real_support_product(d, c, pin, value)
     if isinstance(c, MonoBij):
         return _real_support_monobij(d, c, pin, value)
-    raise RealSemanticsUndefined(
-        f"{type(c).__name__} has no real semantics; bounds(R) undefined"
-    )
+    return _real_support_linear(d, c, pin, value)
 
 
 # --------------------------------------------------------------------------
@@ -571,17 +588,47 @@ def _union(windows: Sequence[range]) -> tuple[range, ...]:
     return tuple(out)
 
 
-def supported_windows(
-    d: Domain,
-    c: Constraint,
-    notion: ConsistencyNotion,
-    var: VarId,
-    hull: SumHull | None = None,
-) -> tuple[range, ...] | None:
-    """Positions in var's values of those with a support at `notion`, as
-    ascending, disjoint, non-empty windows read off the other variables'
-    ends; None when each value must be searched.  `hull`, for a linear c,
-    is the sum's hull over d, if the caller keeps one.
+def _linear_windows(
+    d: Domain, c: Constraint, var: VarId, values: Sequence[int], hull: SumHull | None
+) -> tuple[range, ...]:
+    lo, hi = hull.without(var)
+    w = _window(values, hull.coeff[var], c.rhs, lo, hi if c.op == "eq" else None)
+    return (w,) if w else ()
+
+
+def _product_windows(
+    d: Domain, c: Constraint, var: VarId, values: Sequence[int], hull: SumHull | None
+) -> tuple[range, ...]:
+    l1, u1, l2, u2 = d.inf(c.x1), d.sup(c.x1), d.inf(c.x2), d.sup(c.x2)
+    if var == c.x3:  # v >= the least corner product
+        least = min(l1 * l2, l1 * u2, u1 * l2, u1 * u2)
+        return _union([_le_window(values, -1, -least)])
+    l, u = (l2, u2) if var == c.x1 else (l1, u1)
+    u3 = d.sup(c.x3)
+    return _union([_le_window(values, l, u3), _le_window(values, u, u3)])
+
+
+def _alldiff_windows(
+    d: Domain, c: Constraint, var: VarId, values: Sequence[int], hull: SumHull | None
+) -> tuple[range, ...]:
+    fixed = [d.inf(v) for v in c.scope if v != var and d.inf(v) == d.sup(v)]
+    if len(set(fixed)) < len(fixed):
+        return ()
+    windows, start = [], 0
+    for f in sorted(fixed):
+        windows.append(range(start, bisect_left(values, f)))
+        start = bisect_right(values, f)
+    return _union(windows + [range(start, len(values))])
+
+
+def closed_form(
+    c: Constraint, notion: ConsistencyNotion
+) -> Callable[..., tuple[range, ...]] | None:
+    """The reader of c's supported values at `notion`, or None where each
+    value must be searched.  `reader(d, c, var, values, hull)` gives the
+    positions in `values`, var's in d, of those with a support, as
+    ascending, disjoint, non-empty windows; `hull` is a `SumHull` of c over
+    d for the linear reader, None for the others.  The cases:
 
     - `<=` at every notion (a least sum sits at set ends, which sets and
       boxes share), `=` at bounds(R), and `=` at bounds(Z) when every
@@ -597,37 +644,27 @@ def supported_windows(
       set of reals, so only the other variables' point boxes F collide; the
       windows lie between the values of F, and none exist if F repeats one.
     """
-    values = d.get(var).values
-    if isinstance(c, LinEq):
-        if notion is not ConsistencyNotion.BOUNDS_R and not (
-            notion is ConsistencyNotion.BOUNDS_Z
-            and all(abs(t.coeff) == 1 for t in c.terms)
-        ):
-            return None
-    elif isinstance(c, ProductLe):
-        l1, u1, l2, u2 = d.inf(c.x1), d.sup(c.x1), d.inf(c.x2), d.sup(c.x2)
-        if var == c.x3:  # v >= the least corner product
-            least = min(l1 * l2, l1 * u2, u1 * l2, u1 * u2)
-            return _union([_le_window(values, -1, -least)])
-        l, u = (l2, u2) if var == c.x1 else (l1, u1)
-        u3 = d.sup(c.x3)
-        return _union([_le_window(values, l, u3), _le_window(values, u, u3)])
-    elif isinstance(c, AllDifferent) and notion is ConsistencyNotion.BOUNDS_R:
-        fixed = [d.inf(v) for v in c.vars if v != var and d.inf(v) == d.sup(v)]
-        if len(set(fixed)) < len(fixed):
-            return ()
-        windows, start = [], 0
-        for f in sorted(fixed):
-            windows.append(range(start, bisect_left(values, f)))
-            start = bisect_right(values, f)
-        return _union(windows + [range(start, len(values))])
-    elif not isinstance(c, LinLe):
+    if isinstance(c, LinLe) or isinstance(c, LinEq) and (
+        notion is ConsistencyNotion.BOUNDS_R
+        or notion is ConsistencyNotion.BOUNDS_Z and all(abs(t.coeff) == 1 for t in c.terms)
+    ):
+        return _linear_windows
+    if isinstance(c, ProductLe):
+        return _product_windows
+    if isinstance(c, AllDifferent) and notion is ConsistencyNotion.BOUNDS_R:
+        return _alldiff_windows
+    return None
+
+
+def supported_windows(
+    d: Domain, c: Constraint, notion: ConsistencyNotion, var: VarId
+) -> tuple[range, ...] | None:
+    """Positions in var's values of those with a support at `notion`, as
+    `closed_form`'s reader gives them, or None when it has none."""
+    form = closed_form(c, notion)
+    if form is None:
         return None
-    if hull is None:
-        hull = SumHull(d, c)
-    lo, hi = hull.without(var)
-    window = _window(values, hull.coeff[var], c.rhs, lo, hi if isinstance(c, LinEq) else None)
-    return _union([window])
+    return form(d, c, var, d.get(var).values, SumHull(d, c) if form is _linear_windows else None)
 
 
 def support(
@@ -641,14 +678,14 @@ def support(
     t = _find_int_support(c, var, value, cands)
     if t is None:
         return SupportWitness(var, value, False, None)
-    return SupportWitness(var, value, True, Valuation(dict(zip(vars_of(c), t))))
+    return SupportWitness(var, value, True, Valuation(dict(zip(c.scope, t))))
 
 
 def check(d: Domain, c: Constraint, notion: ConsistencyNotion) -> CheckResult:
     """Every value that `notion` names has a support where `notion` searches."""
     witnesses = tuple(
         support(d, c, notion, var, value)
-        for var in vars_of(c)
+        for var in c.scope
         for value in needs_support(d.get(var), notion)
     )
     return CheckResult(all(w.supported for w in witnesses), witnesses)

@@ -1,12 +1,10 @@
 """Constraint catalog with exact integer and real satisfaction semantics.
 
-Every constraint evaluates under two readings: `holds` over int tuples in
-vars_of(c) order (sat_int is its checked entry for integral valuations)
-and sat_real over rational valuations.  For Mod, ReifLinLe and Table there
-is no natural real reading; sat_real returns the UNDEFINED sentinel and
-real-based checkers raise RealSemanticsUndefined instead.  `holds` is
-total: out-of-definition tuples (e.g. a mod with x3 <= 0, a reified bool
-outside {0,1}) are unsatisfying, never errors.
+Each class body is the one definition of its class (see `Constraint`).
+`holds` is total: out-of-definition tuples (e.g. a mod with x3 <= 0, a
+reified bool outside {0,1}) are unsatisfying, never errors.  Mod,
+ReifLinLe and Table have no real reading: sat_real returns the UNDEFINED
+sentinel, and real-based checkers raise RealSemanticsUndefined.
 """
 
 from __future__ import annotations
@@ -53,14 +51,24 @@ class LinTerm:
 
 
 class Constraint:
-    """Marker base class; concrete constraints are frozen dataclasses."""
+    """Base class; a concrete constraint is a frozen dataclass whose body is
+    its one definition: `scope`, its variables in declaration order, set
+    once by `_set_scope`; `holds(vals)`, its integer meaning on their values
+    in that order; `real`, whether `sat_real` reads `holds` over rationals."""
 
-    __slots__ = ()
+    real = True
+    scope: tuple[VarId, ...]
 
+    def _set_scope(self, vars_: tuple[VarId, ...]) -> None:
+        if len(set(vars_)) != len(vars_):
+            raise ValueError("constraint variables must be distinct")
+        object.__setattr__(self, "scope", vars_)
 
-def _check_distinct(vars_: tuple[VarId, ...]) -> None:
-    if len(set(vars_)) != len(vars_):
-        raise ValueError("constraint variables must be distinct")
+    def sat_real(self, theta: Valuation):
+        """`holds` over the rationals, or UNDEFINED without a real reading."""
+        if not self.real:
+            return UNDEFINED
+        return self.holds(tuple(theta[v] for v in self.scope))
 
 
 @dataclass(frozen=True)
@@ -73,8 +81,12 @@ class _Linear(Constraint):
     def __post_init__(self) -> None:
         if not self.terms:
             raise ValueError("linear constraint needs at least one term")
-        _check_distinct(tuple(t.var for t in self.terms))
+        self._set_scope(tuple(t.var for t in self.terms))
         checked_int64(self.rhs)
+
+    def holds(self, vals: tuple[int, ...]) -> bool:
+        lhs = sum(t.coeff * x for t, x in zip(self.terms, vals))
+        return getattr(operator, self.op)(lhs, self.rhs)
 
 
 class LinEq(_Linear):
@@ -102,7 +114,10 @@ class AllDifferent(Constraint):
     def __post_init__(self) -> None:
         if len(self.vars) < 2:
             raise ValueError("alldifferent needs at least two variables")
-        _check_distinct(self.vars)
+        self._set_scope(self.vars)
+
+    def holds(self, vals: tuple[int, ...]) -> bool:
+        return len(set(vals)) == len(vals)
 
 
 @dataclass(frozen=True)
@@ -114,7 +129,10 @@ class ProductLe(Constraint):
     x3: VarId
 
     def __post_init__(self) -> None:
-        _check_distinct((self.x1, self.x2, self.x3))
+        self._set_scope((self.x1, self.x2, self.x3))
+
+    def holds(self, vals: tuple[int, ...]) -> bool:
+        return vals[0] * vals[1] <= vals[2]
 
 
 @dataclass(frozen=True)
@@ -286,7 +304,20 @@ class MonoBij(Constraint):
     x2: VarId
 
     def __post_init__(self) -> None:
-        _check_distinct((self.x1, self.x2))
+        self._set_scope((self.x1, self.x2))
+
+    def holds(self, vals: tuple[int, ...]) -> bool:
+        x1, x2 = vals
+        if mono_requires_nonneg(self.func) and x2 < 0:
+            return False
+        return x1 == mono_eval_vs64(self.func, x2)
+
+    def sat_real(self, theta: Valuation) -> bool:
+        # exact: a power past 2**256 raises here, where `holds` compares
+        x2 = theta[self.x2]
+        if mono_requires_nonneg(self.func) and x2 < 0:
+            return False
+        return theta[self.x1] == mono_eval_frac(self.func, x2)
 
 
 @dataclass(frozen=True)
@@ -296,9 +327,14 @@ class Mod(Constraint):
     x1: VarId
     x2: VarId
     x3: VarId
+    real = False
 
     def __post_init__(self) -> None:
-        _check_distinct((self.x1, self.x2, self.x3))
+        self._set_scope((self.x1, self.x2, self.x3))
+
+    def holds(self, vals: tuple[int, ...]) -> bool:
+        x1, x2, x3 = vals
+        return x3 >= 1 and x1 == x2 % x3
 
 
 @dataclass(frozen=True)
@@ -308,12 +344,17 @@ class ReifLinLe(Constraint):
     b: VarId
     terms: tuple[LinTerm, ...]
     rhs: int
+    real = False
 
     def __post_init__(self) -> None:
         if not self.terms:
             raise ValueError("reified linear constraint needs at least one term")
-        _check_distinct((self.b,) + tuple(t.var for t in self.terms))
+        self._set_scope((self.b,) + tuple(t.var for t in self.terms))
         checked_int64(self.rhs)
+
+    def holds(self, vals: tuple[int, ...]) -> bool:
+        b, lhs = vals[0], sum(t.coeff * x for t, x in zip(self.terms, vals[1:]))
+        return b in (0, 1) and (b == 1) == (lhs <= self.rhs)
 
 
 @dataclass(frozen=True)
@@ -322,70 +363,39 @@ class Table(Constraint):
 
     vars: tuple[VarId, ...]
     rows: tuple[tuple[int, ...], ...]
+    real = False
 
     def __post_init__(self) -> None:
         if not self.vars:
             raise ValueError("table needs at least one variable")
-        _check_distinct(self.vars)
+        self._set_scope(self.vars)
         for row in self.rows:
             if len(row) != len(self.vars):
                 raise ValueError("table row arity mismatch")
             for v in row:
                 checked_int64(v)
 
+    def holds(self, vals: tuple[int, ...]) -> bool:
+        return vals in self.rows
+
 
 def vars_of(c: Constraint) -> tuple[VarId, ...]:
     """Variables of c in declaration order."""
-    if isinstance(c, (LinEq, LinLe, LinNe)):
-        return tuple(t.var for t in c.terms)
-    if isinstance(c, AllDifferent):
-        return c.vars
-    if isinstance(c, ProductLe):
-        return (c.x1, c.x2, c.x3)
-    if isinstance(c, MonoBij):
-        return (c.x1, c.x2)
-    if isinstance(c, Mod):
-        return (c.x1, c.x2, c.x3)
-    if isinstance(c, ReifLinLe):
-        return (c.b,) + tuple(t.var for t in c.terms)
-    if isinstance(c, Table):
-        return c.vars
-    raise TypeError(f"not a constraint: {c!r}")
+    return c.scope
 
 
 def real_defined(c: Constraint) -> bool:
-    return not isinstance(c, (Mod, ReifLinLe, Table))
+    return c.real
 
 
 def _require_exact_vars(c: Constraint, theta: Valuation) -> None:
-    cv = vars_of(c)
-    if set(cv) != set(theta.keys()):
+    if set(c.scope) != set(theta.keys()):
         raise ValueError("valuation must bind exactly the constraint's variables")
 
 
 def holds(c: Constraint, vals: tuple[int, ...]) -> bool:
     """Integer satisfaction of c by vals, the values of vars_of(c) in order."""
-    if isinstance(c, _Linear):
-        lhs = sum(t.coeff * x for t, x in zip(c.terms, vals))
-        return getattr(operator, c.op)(lhs, c.rhs)
-    if isinstance(c, AllDifferent):
-        return len(set(vals)) == len(vals)
-    if isinstance(c, ProductLe):
-        return vals[0] * vals[1] <= vals[2]
-    if isinstance(c, MonoBij):
-        x1, x2 = vals
-        if mono_requires_nonneg(c.func) and x2 < 0:
-            return False
-        return x1 == mono_eval_vs64(c.func, x2)
-    if isinstance(c, Mod):
-        x1, x2, x3 = vals
-        return x3 >= 1 and x1 == x2 % x3
-    if isinstance(c, ReifLinLe):
-        b, lhs = vals[0], sum(t.coeff * x for t, x in zip(c.terms, vals[1:]))
-        return b in (0, 1) and (b == 1) == (lhs <= c.rhs)
-    if isinstance(c, Table):
-        return vals in c.rows
-    raise TypeError(f"not a constraint: {c!r}")
+    return c.holds(vals)
 
 
 def sat_int(c: Constraint, theta: Valuation) -> bool:
@@ -393,27 +403,10 @@ def sat_int(c: Constraint, theta: Valuation) -> bool:
     _require_exact_vars(c, theta)
     if not theta.is_integral:
         raise ValueError("sat_int requires an integral valuation")
-    return holds(c, tuple(theta.int_value(v) for v in vars_of(c)))
+    return c.holds(tuple(theta.int_value(v) for v in c.scope))
 
 
 def sat_real(c: Constraint, theta: Valuation):
     """Real (rational-valued) satisfaction, or UNDEFINED where none exists."""
     _require_exact_vars(c, theta)
-    if isinstance(c, _Linear):
-        acc = Fraction(0)
-        for t in c.terms:
-            acc += t.coeff * theta[t.var]
-        return getattr(operator, c.op)(acc, c.rhs)
-    if isinstance(c, AllDifferent):
-        vals = [theta[v] for v in c.vars]
-        return len(set(vals)) == len(vals)
-    if isinstance(c, ProductLe):
-        return theta[c.x1] * theta[c.x2] <= theta[c.x3]
-    if isinstance(c, MonoBij):
-        x2 = theta[c.x2]
-        if mono_requires_nonneg(c.func) and x2 < 0:
-            return False
-        return theta[c.x1] == mono_eval_frac(c.func, x2)
-    if isinstance(c, (Mod, ReifLinLe, Table)):
-        return UNDEFINED
-    raise TypeError(f"not a constraint: {c!r}")
+    return c.sat_real(theta)

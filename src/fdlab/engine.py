@@ -6,14 +6,14 @@ propagator, or, where the caller states that the domain was narrowed from
 a common fixpoint on a few variables only (`changed`), with the watchers
 of those variables: the others are still at their fixpoint, since every
 propagator is idempotent and reads only its own variables.  Search seeds
-each child node that way with the variable it split.  Re-queueing is
-event-filtered, read off the values each run pruned: every propagator
-reacts to bound changes of its variables, and only those whose notion
-searches supports in the actual sets (`checkers.sees_holes`: domain,
-bounds(D)) also react to interior holes.  Filtering is lossless and the
-fixpoint is queue-order independent; both facts are exercised by tests via
-the `filter_events` and `queue_policy` knobs.  A failed fixpoint prunes
-nothing.
+each child node that way with the variable it split.  Each run's bound,
+hole and fixed events are read once off the values it pruned, and serve
+both `trace` and re-queueing: every propagator reacts to bound changes of
+its variables, and only those whose notion searches supports in the
+actual sets (`checkers.sees_holes`: domain, bounds(D)) also react to
+holes.  Filtering is lossless and the fixpoint is queue-order independent;
+both facts are exercised by tests via the `filter_events` and
+`queue_policy` knobs.  A failed fixpoint prunes nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from enum import Enum
 from typing import Iterable
 
 from .checkers import ConsistencyNotion, sees_holes
-from .constraints import Constraint, MonoBij, ReifLinLe, mono_requires_nonneg, real_defined, vars_of
+from .constraints import Constraint, MonoBij, ReifLinLe, mono_requires_nonneg
 from .domains import Domain, IntSet, VarId
 from .propagators import PropagationResult, propagate
 
@@ -63,7 +63,7 @@ class Model:
         self._validate()
         watchers: list[list[int]] = [[] for _ in self.vars]
         for i, (c, _) in enumerate(self.constraints):
-            for v in vars_of(c):
+            for v in c.scope:
                 watchers[v.index].append(i)
         object.__setattr__(self, "watchers", tuple(map(tuple, watchers)))
 
@@ -84,10 +84,10 @@ class Model:
             raise ModelError("constraint labels must be unique")
         declared = set(self.vars)
         for c, notion in self.constraints:
-            for v in vars_of(c):
+            for v in c.scope:
                 if v not in declared:
                     raise ModelError(f"constraint uses undeclared variable {v.name}")
-            if notion is ConsistencyNotion.BOUNDS_R and not real_defined(c):
+            if notion is ConsistencyNotion.BOUNDS_R and not c.real:
                 raise ModelError(
                     f"{type(c).__name__} cannot be attached at bounds(R)"
                 )
@@ -135,19 +135,20 @@ class TraceRecord:
     domain: Domain
 
 
-def _diff_events(old: Domain, new: Domain, vars_: tuple[VarId, ...]) -> list[Event]:
-    events: list[Event] = []
-    for v in vars_:
-        os, ns = old.get(v), new.get(v)
-        if os.values == ns.values:
-            continue
-        if ns.inf > os.inf:
+def _events(d: Domain, scope: tuple[VarId, ...], res: PropagationResult) -> list[Event]:
+    """The events of a run from d to res, in scope order; a FIXED event
+    always comes with a bound event."""
+    lost = dict(res.pruned)
+    events = []
+    for v in (v for v in scope if v in lost):
+        old, gone = d.get(v), lost[v]  # gone is ascending
+        if gone[0] == old.inf:
             events.append(Event(v, EventKind.LOWER_BOUND))
-        if ns.sup < os.sup:
+        if gone[-1] == old.sup:
             events.append(Event(v, EventKind.UPPER_BOUND))
-        if ns.inf == os.inf and ns.sup == os.sup:
+        if gone[0] != old.inf and gone[-1] != old.sup:
             events.append(Event(v, EventKind.HOLE))
-        if ns.is_singleton and not os.is_singleton:
+        if len(gone) == old.size - 1:
             events.append(Event(v, EventKind.FIXED))
     return events
 
@@ -179,18 +180,15 @@ def _run(
         if res.failed:
             return res, records
         if res.pruned:
+            events = _events(d, c.scope, res)
             if record:
-                events = _diff_events(d, res.domain, vars_of(c))
                 records.append(TraceRecord(m.labels[i], tuple(events), res.domain))
-            lost = dict(res.pruned)
-            for v in [v for v in vars_of(c) if v in lost]:
-                old = d.get(v)  # a FIXED event always comes with a bound move
-                bound_moved = lost[v][0] == old.inf or lost[v][-1] == old.sup
-                for j in m.watchers[v.index]:
+            for ev in events:
+                for j in m.watchers[ev.var.index]:
                     if j == i or j in queued:
                         continue
                     _, jnotion = m.constraints[j]
-                    if not filter_events or bound_moved or sees_holes(jnotion):
+                    if not filter_events or ev.kind is not EventKind.HOLE or sees_holes(jnotion):
                         pending.append(j)
                         queued.add(j)
         d = res.domain

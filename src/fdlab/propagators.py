@@ -11,14 +11,11 @@ table in `checkers`.  Deletion order does not affect the result; the test
 suite certifies this against an exhaustive deletion-order oracle.
 
 Some cases are revised in closed form, with no support query per value:
-`checkers.supported_windows` reads the supported values off the other
-variables' ends as a union of windows, and says why for each case: linear
-`<=` at every notion, `=` at bounds(R) and at bounds(Z) with coefficients
-+-1, x1*x2 <= x3 at every notion, and alldifferent at bounds(R).  The
-domain notion keeps the union, the bounds notions the span from the first
-window to the last.  A linear revise keeps one `checkers.SumHull` for the
-whole call and updates it when a term narrows, so that each window costs
-O(1) sum arithmetic.
+`checkers.closed_form`, asked once per call, lists them and gives a reader
+of the supported values as a union of windows, which the domain notion
+keeps and the bounds notions span.  A linear revise keeps one
+`checkers.SumHull` for the whole call, updated when a term narrows, so
+that each window costs O(1) sum arithmetic.
 
 propagate_linear_br() is the pass-based shave for linear constraints: O(n)
 bound shaving per pass with exact rational division and inward rounding.
@@ -38,17 +35,12 @@ from .checkers import (
     ConsistencyNotion,
     SumHull,
     _find_int_support,
+    _linear_windows,
     _real_support,
     candidates,
-    supported_windows,
+    closed_form,
 )
-from .constraints import (
-    Constraint,
-    LinEq,
-    LinLe,
-    LinNe,
-    vars_of,
-)
+from .constraints import Constraint, LinEq, LinLe, LinNe
 from .domains import Domain, IntSet, VarId
 
 
@@ -93,24 +85,25 @@ def propagate(
     semantics raises RealSemanticsUndefined.
     """
     before = d
-    cvars = vars_of(c)
-    hull = SumHull(d, c) if isinstance(c, (LinEq, LinLe)) else None
+    cvars = c.scope
+    form = closed_form(c, notion)
+    hull = SumHull(d, c) if form is _linear_windows else None
+    cands = candidates(d, notion)
+
+    # Reads var, d and cands as they stand.  Not checkers.support: both
+    # searches are looked up here at call time, so profilers can wrap them.
+    def supported(value: int) -> bool:
+        if cands is None:
+            return _real_support(d, c, var, value)[0]
+        return _find_int_support(c, var, value, cands) is not None
+
     stable = i = 0
     while stable < len(cvars):
         var = cvars[i % len(cvars)]
         i += 1
-        cands = candidates(d, notion)
-
-        # Not checkers.support: both searches are looked up in this module
-        # at call time, so that profilers can wrap them here.
-        def supported(value: int) -> bool:
-            if cands is None:
-                return _real_support(d, c, var, value)[0]
-            return _find_int_support(c, var, value, cands) is not None
-
         values = d.get(var).values
-        windows = supported_windows(d, c, notion, var, hull)
-        if windows is not None:
+        if form is not None:
+            windows = form(d, c, var, values, hull)
             if notion is ConsistencyNotion.DOMAIN and len(windows) > 1:
                 kept = tuple(chain.from_iterable(values[w.start : w.stop] for w in windows))
             else:  # the bounds notions keep the holes between windows
@@ -130,6 +123,7 @@ def propagate(
         if not kept:
             return PropagationResult(None, ())
         d = d.with_set(var, IntSet(kept))
+        cands = candidates(d, notion)
         if hull is not None:
             hull.narrow(var, d.get(var))
         stable = 1

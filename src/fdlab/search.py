@@ -6,8 +6,8 @@ same model.  Chronological backtracking only, over an explicit stack, so
 the depth is not bounded by Python's recursion limit.  The root runs every
 propagator; a child differs from its parent's fixpoint only on the split
 variable, so its engine queue starts with that variable's watchers alone.
-Each solution is verified with `constraints.holds` on every constraint
-before it is reported.
+Each solution is verified with every constraint's `holds` before it is
+reported.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .constraints import holds, vars_of
 from .domains import Domain, IntSet, Valuation
 from .engine import Model, propagate_all
 
@@ -91,7 +90,7 @@ def solve(
         vals = [s.inf for s in sets]
         theta = Valuation({v: vals[v.index] for v in m.vars})
         for c, _ in m.constraints:
-            if not holds(c, tuple(vals[v.index] for v in vars_of(c))):
+            if not c.holds(tuple(vals[v.index] for v in c.scope)):
                 # propagation never invents solutions
                 raise AssertionError(f"unsound fixpoint at leaf {theta}")
         solutions.append(theta)

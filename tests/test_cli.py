@@ -323,7 +323,7 @@ def test_power_past_64_bits_answers(tmp_path, capsys):
         "var y in {0,4294967296}\n"
         "constraint c1: monobij x = pow(1,2) y\n"
     )
-    for notion in ("domain", "bounds-d", "bounds-r"):
+    for notion in ("domain", "bounds-d", "bounds-z", "bounds-r"):
         code, out, err = run(capsys, "check", str(p), "--notion", notion)
         assert (code, err) == (1, "")
         assert out.startswith(f"c1 @ {notion}: INCONSISTENT\n")

@@ -13,6 +13,8 @@ from conftest import (
     random_linear,
 )
 from fdlab import (
+    Affine,
+    Constraint,
     Domain,
     IntSet,
     LinEq,
@@ -20,14 +22,17 @@ from fdlab import (
     LinNe,
     LinTerm,
     Mod,
+    MonoBij,
     ProductLe,
     RealSemanticsUndefined,
     ReifLinLe,
+    Table,
+    Valuation,
     propagate,
     propagate_linear_br,
 )
-from fdlab.checkers import ConsistencyNotion, check, support, supported_windows
-from fdlab.constraints import AllDifferent, real_defined, sat_real, vars_of
+from fdlab.checkers import ConsistencyNotion, check, closed_form, support, supported_windows
+from fdlab.constraints import UNDEFINED, AllDifferent, real_defined, sat_real, vars_of
 from fdlab.domains import INT64_MAX, INT64_MIN, member_box
 from fdlab.oracle import _real_support_exists, oracle_fixpoint
 
@@ -431,3 +436,35 @@ def test_reified_sum_of_eight_variables_propagates_at_domain():
     res = propagate(d, c, ConsistencyNotion.DOMAIN)
     assert res.pruned == ((b, (1,)),)
     assert res.domain.get(b) == IntSet.of([0])
+
+
+def test_class_table_pins_scope_real_and_closed_forms():
+    # One instance of every concrete class.  A closed form that silently
+    # drops out still passes the peeling tests, since searching each value
+    # reaches the same fixpoint, so the cases that have one are pinned here.
+    B_Z, B_R = ConsistencyNotion.BOUNDS_Z, ConsistencyNotion.BOUNDS_R
+    x, y, z, b = make_vars(4)
+    unit = (LinTerm(1, y), LinTerm(-1, x), LinTerm(1, z))
+    cases = [  # constraint, scope in declaration order, notions with a closed form
+        (LinEq(unit, 0), (y, x, z), {B_Z, B_R}),
+        (LinEq((LinTerm(2, y), LinTerm(-1, x)), 0), (y, x), {B_R}),
+        (LinLe(unit, 0), (y, x, z), set(NOTIONS)),
+        (LinNe(unit, 0), (y, x, z), set()),
+        (AllDifferent((z, x, y)), (z, x, y), {B_R}),
+        (ProductLe(z, x, y), (z, x, y), set(NOTIONS)),
+        (MonoBij(y, Affine(2, 1), x), (y, x), set()),
+        (Mod(z, y, x), (z, y, x), set()),
+        (ReifLinLe(b, unit, 0), (b, y, x, z), set()),
+        (Table((y, x), ((1, 2),)), (y, x), set()),
+    ]
+    leaves, stack = set(), [Constraint]
+    while stack:
+        cls = stack.pop()
+        stack += cls.__subclasses__()
+        leaves |= set() if cls.__subclasses__() else {cls}
+    assert {type(c) for c, _, _ in cases} == leaves
+    for c, scope, forms in cases:
+        assert c.scope == vars_of(c) == scope, c
+        defined = sat_real(c, Valuation({v: 0 for v in scope})) is not UNDEFINED
+        assert c.real == real_defined(c) == defined, c
+        assert {n for n in NOTIONS if closed_form(c, n) is not None} == forms, c
