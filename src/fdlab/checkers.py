@@ -74,8 +74,6 @@ from .constraints import (
     RealSemanticsUndefined,
     ReifLinLe,
     mono_eval_vs64,
-    mono_inverse_frac,
-    mono_requires_nonneg,
     # bound only because perfbench/tracing.py wraps this name (ROADMAP item 4)
     sat_int,
 )
@@ -346,7 +344,7 @@ def _monobij_support(
     if pin == c.x2:
         x1, x2 = mono_eval_vs64(c.func, value), value
     else:
-        inv = mono_inverse_frac(c.func, Fraction(value))
+        inv = c.func.inverse(value)
         if inv is None or inv.denominator != 1:
             return None
         x1, x2 = value, int(inv)
@@ -483,31 +481,25 @@ def _real_support_product(
 def _real_support_monobij(
     d: Domain, c: MonoBij, pin: VarId, value: int
 ) -> tuple[bool, Valuation | None]:
-    l1, u1 = d.inf(c.x1), d.sup(c.x1)
+    if pin == c.x2:
+        if c.func.nonneg and value < 0:
+            return False, None
+        y = mono_eval_vs64(c.func, value)
+        if not d.inf(c.x1) <= y <= d.sup(c.x1):
+            return False, None
+        return True, Valuation({c.x1: y, c.x2: value})
     l2, u2 = d.inf(c.x2), d.sup(c.x2)
-    if pin == c.x1:
-        l1 = u1 = value
-    else:
-        l2 = u2 = value
-    if mono_requires_nonneg(c.func):
+    if c.func.nonneg:
         l2 = max(l2, 0)
         if l2 > u2:
             return False, None
-    if pin == c.x2:
-        y = Fraction(mono_eval_vs64(c.func, l2)) if l2 == u2 else None
-        if y is None:  # pinned value clipped away by the restriction
-            return False, None
-        if Fraction(l1) <= y <= Fraction(u1):
-            return True, Valuation({c.x1: y, c.x2: Fraction(l2)})
-        return False, None
     ya = mono_eval_vs64(c.func, l2)
     yb = mono_eval_vs64(c.func, u2)
-    lo_y, hi_y = (ya, yb) if ya <= yb else (yb, ya)
-    if not (lo_y <= value <= hi_y):
+    if not min(ya, yb) <= value <= max(ya, yb):
         return False, None
-    inv = mono_inverse_frac(c.func, Fraction(value))
-    if inv is not None and Fraction(l2) <= inv <= Fraction(u2):
-        return True, Valuation({c.x1: Fraction(value), c.x2: inv})
+    inv = c.func.inverse(value)
+    if inv is not None and l2 <= inv <= u2:
+        return True, Valuation({c.x1: value, c.x2: inv})
     return True, None
 
 
@@ -671,6 +663,8 @@ def support(
     d: Domain, c: Constraint, notion: ConsistencyNotion, var: VarId, value: int
 ) -> SupportWitness:
     """Support verdict for var=value at `notion`; never reads var's own set."""
+    if var not in c.scope:
+        raise ValueError(f"{var.name} is not a variable of the {type(c).__name__}")
     cands = candidates(d, notion)
     if cands is None:
         supported, w = _real_support(d, c, var, value)

@@ -1,6 +1,9 @@
 """Constraint catalog with exact integer and real satisfaction semantics.
 
-Each class body is the one definition of its class (see `Constraint`).
+Each class body is the one definition of its class (see `Constraint`),
+and so is each body of a function class of `MonoBij` (`Affine`, `PowK`,
+`PowerSum3`): its exact value `g(x)`, its exact rational `inverse(y)` or
+None, its restriction `nonneg` (to x >= 0) and its direction `increasing`.
 `holds` is total: out-of-definition tuples (e.g. a mod with x3 <= 0, a
 reified bool outside {0,1}) are unsatisfying, never errors.  Mod,
 ReifLinLe and Table have no real reading: sat_real returns the UNDEFINED
@@ -9,6 +12,7 @@ sentinel, and real-based checkers raise RealSemanticsUndefined.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -141,12 +145,23 @@ class Affine:
 
     a: int
     b: int
+    nonneg = False
 
     def __post_init__(self) -> None:
         if self.a == 0:
             raise ValueError("affine slope must be non-zero")
         checked_int64(self.a)
         checked_int64(self.b)
+
+    @property
+    def increasing(self) -> bool:
+        return self.a > 0
+
+    def __call__(self, x: int | Fraction) -> int | Fraction:
+        return self.a * x + self.b
+
+    def inverse(self, y: int | Fraction) -> Fraction:
+        return Fraction(y - self.b, self.a)
 
 
 @dataclass(frozen=True)
@@ -155,6 +170,7 @@ class PowK:
 
     a: int
     k: int
+    nonneg = True
 
     def __post_init__(self) -> None:
         if self.a == 0:
@@ -163,44 +179,86 @@ class PowK:
             raise ValueError("power exponent must be >= 1")
         checked_int64(self.a)
 
+    @property
+    def increasing(self) -> bool:
+        return self.a > 0
+
+    def __call__(self, x: int | Fraction) -> int | Fraction:
+        # k is unbounded: refuse a power whose lower bound 2**((b-1)*k), for
+        # b bits of the larger of |numerator| and denominator, reaches
+        # 2**256, so what is computed stays under 512 bits
+        m = max(abs(x.numerator), x.denominator)
+        if m > 1 and (m.bit_length() - 1) * self.k >= 256:
+            raise OverflowError(f"{x}**{self.k} exceeds 256 bits")
+        return self.a * x**self.k
+
+    def inverse(self, y: int | Fraction) -> Fraction | None:
+        # q is in lowest terms, so a rational k-th root of it has the k-th
+        # roots of its numerator and denominator as its own
+        q = Fraction(y, self.a)
+        if q < 0:
+            return None
+        n, d = _int_root(q.numerator, self.k), _int_root(q.denominator, self.k)
+        exact = n**self.k == q.numerator and d**self.k == q.denominator
+        return Fraction(n, d) if exact else None
+
 
 @dataclass(frozen=True)
 class PowerSum3:
     """g(x) = 1 + x + x**2 + x**3, restricted to x >= 0."""
 
+    nonneg = True
+    increasing = True
+
+    def __call__(self, x: int | Fraction) -> int | Fraction:
+        return 1 + x + x * x + x * x * x
+
+    def inverse(self, y: int | Fraction) -> Fraction | None:
+        # g(r/t) = (t + r)(t**2 + r**2) / t**3 for r/t in lowest terms, and the
+        # numerator is r**3 mod t, so that fraction is in lowest terms too: a
+        # preimage has the cube root t of y's denominator as its denominator,
+        # and its numerator r is at most the cube root of y's numerator
+        y = Fraction(y)
+        t = _int_root(y.denominator, 3)
+        if t**3 != y.denominator or y < 1:
+            return None
+        r = _last_at_most(lambda r: self(Fraction(r, t)), y, _int_root(y.numerator, 3))
+        return Fraction(r, t) if self(Fraction(r, t)) == y else None
+
 
 MonoFunc = Affine | PowK | PowerSum3
 
 
+def _last_at_most(f, n: int, hi: int) -> int:
+    """The greatest x in [0, hi] with f(x) <= n, for an increasing f with
+    f(0) <= n, by bisection."""
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if f(mid) <= n:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _int_root(n: int, k: int) -> int:
+    """Floor k-th root of n >= 0."""
+    if k == 2:
+        return math.isqrt(n)
+    # n < 2**b for b bits, so the root is below 2**ceil(b/k)
+    return _last_at_most(lambda x: x**k, n, (1 << -(-n.bit_length() // k)) - 1)
+
+
+# readers of the function classes for `oracle`
 def mono_requires_nonneg(f: MonoFunc) -> bool:
-    return isinstance(f, (PowK, PowerSum3))
-
-
-def mono_increasing(f: MonoFunc) -> bool:
-    """True when g is strictly increasing on its stated restriction."""
-    if isinstance(f, Affine):
-        return f.a > 0
-    if isinstance(f, PowK):
-        return f.a > 0
-    return True
+    return f.nonneg
 
 
 def mono_eval_frac(f: MonoFunc, x: int | Fraction) -> int | Fraction:
     """g(x), exact: an int for an int x, a Fraction for a Fraction x."""
-    if isinstance(f, Affine):
-        return f.a * x + f.b
-    if isinstance(f, PowK):
-        # k is unbounded: refuse a power whose lower bound 2**((b-1)*k), for
-        # b bits of the larger of |numerator| and denominator, reaches
-        # 2**256, so what is computed stays under 512 bits
-        m = max(abs(x.numerator), x.denominator)
-        if m > 1 and (m.bit_length() - 1) * f.k >= 256:
-            raise OverflowError(f"{x}**{f.k} exceeds 256 bits")
-        return f.a * x**f.k
-    return 1 + x + x * x + x * x * x
+    return f(x)
 
-
-mono_eval_int = mono_eval_frac  # exact on ints too: ints in, ints out
 
 _PAST_64 = 1 << 256
 
@@ -210,89 +268,10 @@ def mono_eval_vs64(f: MonoFunc, x: int) -> int:
     that would pass 2**256 comes back as 2**256 on the side of its sign,
     which lies beyond every 64-bit value just as the power does."""
     try:
-        return mono_eval_int(f, x)
+        return f(x)
     except OverflowError:  # only PowK raises, and only for |x| >= 2
         negative = (f.a < 0) != (x < 0 and f.k % 2 == 1)
         return -_PAST_64 if negative else _PAST_64
-
-
-def _int_root(n: int, k: int) -> int:
-    """Floor k-th root of n >= 0."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    if n == 0:
-        return 0
-    if k >= n.bit_length():  # 2**k > n
-        return 1
-    x = max(1, int(round(n ** (1.0 / k))))
-    while x > 1 and x**k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
-
-
-def mono_inverse_frac(f: MonoFunc, y: Fraction) -> Fraction | None:
-    """Exact rational preimage of y on the stated restriction, or None.
-
-    None means no rational preimage was exhibited; for PowK/PowerSum3 the
-    true preimage may exist but be irrational.
-    """
-    if isinstance(f, Affine):
-        return (y - f.b) / f.a
-    if isinstance(f, PowK):
-        q = y / f.a
-        if q < 0:
-            return None
-        if f.k == 1:
-            return q
-        rn = _int_root(q.numerator, f.k)
-        rd = _int_root(q.denominator, f.k)
-        if rn**f.k == q.numerator and rd**f.k == q.denominator:
-            return Fraction(rn, rd)
-        return None
-    # PowerSum3: strictly increasing from g(0)=1 on x >= 0.
-    if y < 1:
-        return None
-    lo, hi = 0, 1
-    while mono_eval_frac(f, Fraction(hi)) < y:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mono_eval_frac(f, Fraction(mid)) < y:
-            lo = mid + 1
-        else:
-            hi = mid
-    if mono_eval_frac(f, Fraction(lo)) == y:
-        return Fraction(lo)
-    if y.denominator == 1 or y.denominator > 10**6:
-        return None
-    # Rational root r/t must have t dividing the denominator of y.
-    for t in _divisors(y.denominator):
-        if t == 1:
-            continue
-        lo_r, hi_r = 0, t * (lo + 1)
-        while lo_r < hi_r:
-            mid = (lo_r + hi_r) // 2
-            if mono_eval_frac(f, Fraction(mid, t)) < y:
-                lo_r = mid + 1
-            else:
-                hi_r = mid
-        if mono_eval_frac(f, Fraction(lo_r, t)) == y:
-            return Fraction(lo_r, t)
-    return None
 
 
 @dataclass(frozen=True)
@@ -308,16 +287,12 @@ class MonoBij(Constraint):
 
     def holds(self, vals: tuple[int, ...]) -> bool:
         x1, x2 = vals
-        if mono_requires_nonneg(self.func) and x2 < 0:
-            return False
-        return x1 == mono_eval_vs64(self.func, x2)
+        return not (self.func.nonneg and x2 < 0) and x1 == mono_eval_vs64(self.func, x2)
 
     def sat_real(self, theta: Valuation) -> bool:
         # exact: a power past 2**256 raises here, where `holds` compares
         x2 = theta[self.x2]
-        if mono_requires_nonneg(self.func) and x2 < 0:
-            return False
-        return theta[self.x1] == mono_eval_frac(self.func, x2)
+        return not (self.func.nonneg and x2 < 0) and theta[self.x1] == self.func(x2)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,10 @@ integers and `fractions.Fraction`; floating point is never consulted.
 64 bits is a rule on input only: `checked_int64` runs where a value enters
 (set members, coefficients, right-hand sides, table rows), and everything
 computed from those values is exact, unbounded Python ints.  The one
-exception is x**k in `constraints.mono_eval_frac` (also `mono_eval_int`):
-its k is unbounded, so a power that certainly reaches 2**256 raises
-OverflowError instead.  Where such a power is only compared with 64-bit
-values, `constraints.mono_eval_vs64` stands it in by +-2**256.
+exception is x**k in `constraints.PowK`: its k is unbounded, so a power
+that certainly reaches 2**256 raises OverflowError instead.  Where such a
+power is only compared with 64-bit values, `constraints.mono_eval_vs64`
+stands it in by +-2**256.
 """
 
 from __future__ import annotations
@@ -110,7 +110,8 @@ class IntSet:
 
 @dataclass(frozen=True)
 class Domain:
-    """Immutable map from variable index to IntSet."""
+    """Immutable map from variable index to IntSet, read by VarId; `with_set`
+    also takes a plain index."""
 
     sets: tuple[IntSet, ...]
 
@@ -121,18 +122,16 @@ class Domain:
     def __len__(self) -> int:
         return len(self.sets)
 
-    def get(self, var: "VarId | int") -> IntSet:
-        idx = var.index if isinstance(var, VarId) else var
-        return self.sets[idx]
+    def get(self, var: VarId) -> IntSet:
+        return self.sets[var.index]
 
-    def __getitem__(self, var: "VarId | int") -> IntSet:
-        return self.get(var)
+    __getitem__ = get
 
-    def inf(self, var: "VarId | int") -> int:
-        return self.get(var).inf
+    def inf(self, var: VarId) -> int:
+        return self.sets[var.index].inf
 
-    def sup(self, var: "VarId | int") -> int:
-        return self.get(var).sup
+    def sup(self, var: VarId) -> int:
+        return self.sets[var.index].sup
 
     def with_set(self, var: "VarId | int", s: IntSet) -> "Domain":
         idx = var.index if isinstance(var, VarId) else var

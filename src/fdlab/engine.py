@@ -24,7 +24,7 @@ from enum import Enum
 from typing import Iterable
 
 from .checkers import ConsistencyNotion, sees_holes
-from .constraints import Constraint, MonoBij, ReifLinLe, mono_requires_nonneg
+from .constraints import Constraint, MonoBij, ReifLinLe
 from .domains import Domain, IntSet, VarId
 from .propagators import PropagationResult, propagate
 
@@ -97,7 +97,7 @@ class Model:
                     raise ModelError(
                         f"reified bool {c.b.name} must range over a subset of {{0,1}}"
                     )
-            if isinstance(c, MonoBij) and mono_requires_nonneg(c.func):
+            if isinstance(c, MonoBij) and c.func.nonneg:
                 if self.initial.get(c.x2).inf < 0:
                     raise ModelError(
                         f"{c.x2.name} must be non-negative for this function"

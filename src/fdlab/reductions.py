@@ -29,9 +29,6 @@ from .constraints import (
     MonoBij,
     ProductLe,
     RealSemanticsUndefined,
-    mono_eval_int,
-    mono_increasing,
-    mono_requires_nonneg,
     real_defined,
     sat_real,
     vars_of,
@@ -259,20 +256,16 @@ def _product_verdicts(c: ProductLe, d: Domain) -> dict[VarId, VarMonotonicity]:
 def _monobij_verdicts(c: MonoBij, d: Domain) -> dict[VarId, VarMonotonicity]:
     l1, u1 = d.inf(c.x1), d.sup(c.x1)
     l2, u2 = d.inf(c.x2), d.sup(c.x2)
-    l2p = max(l2, 0) if mono_requires_nonneg(c.func) else l2
+    l2p = max(l2, 0) if c.func.nonneg else l2
     if l2p > u2:
         return {c.x1: VarMonotonicity.LT, c.x2: VarMonotonicity.LT}
-    inc = mono_increasing(c.func)
-    g_lo = mono_eval_int(c.func, l2p)
-    g_hi = mono_eval_int(c.func, u2)
+    g, inc = c.func, c.func.increasing
+    g_lo, g_hi = g(l2p), g(u2)
     gmin, gmax = (g_lo, g_hi) if g_lo <= g_hi else (g_hi, g_lo)
     j_empty = gmin > u1 or gmax < l1
 
     def mem(v: int) -> bool:
-        if not (l2p <= v <= u2):
-            return False
-        gv = mono_eval_int(c.func, v)
-        return l1 <= gv <= u1
+        return l2p <= v <= u2 and l1 <= g(v) <= u1
 
     if j_empty:
         v2 = VarMonotonicity.LT
@@ -280,14 +273,9 @@ def _monobij_verdicts(c: MonoBij, d: Domain) -> dict[VarId, VarMonotonicity]:
         viol_lt = (
             l2p > l2
             or not mem(l2)
-            or (u2 > l2 and ((mono_eval_int(c.func, l2) < u1) if inc
-                             else (mono_eval_int(c.func, l2) > l1)))
+            or (u2 > l2 and (g(l2) < u1 if inc else g(l2) > l1))
         )
-        viol_gt = (
-            not mem(u2)
-            or (l2p < u2 and ((mono_eval_int(c.func, u2) > l1) if inc
-                              else (mono_eval_int(c.func, u2) < u1)))
-        )
+        viol_gt = not mem(u2) or (l2p < u2 and (g(u2) > l1 if inc else g(u2) < u1))
         v2 = _verdict(not viol_lt, not viol_gt)
 
     a_end = max(l1, gmin)

@@ -17,11 +17,6 @@ from fdlab.constraints import (
     ProductLe,
     ReifLinLe,
     Table,
-    mono_eval_frac,
-    mono_eval_int,
-    mono_increasing,
-    mono_inverse_frac,
-    mono_requires_nonneg,
     real_defined,
     sat_int,
     sat_real,
@@ -149,40 +144,73 @@ def test_vars_of():
 
 def test_affine_eval_and_inverse():
     f = Affine(2, -1)
-    assert mono_eval_int(f, 3) == 5
-    assert mono_eval_frac(f, Fraction(1, 2)) == 0
-    assert mono_inverse_frac(f, Fraction(5)) == 3
-    assert mono_inverse_frac(f, Fraction(1, 3)) == Fraction(2, 3)
-    assert mono_increasing(f)
-    assert not mono_increasing(Affine(-1, 4))
-    assert not mono_requires_nonneg(f)
+    assert f(3) == 5
+    assert f(Fraction(1, 2)) == 0
+    assert f.inverse(Fraction(5)) == 3
+    assert f.inverse(Fraction(1, 3)) == Fraction(2, 3)
+    assert f.increasing
+    assert not Affine(-1, 4).increasing
+    assert not f.nonneg
     with pytest.raises(ValueError):
         Affine(0, 1)
 
 
 def test_powk_eval_and_inverse():
     f = PowK(3, 2)  # 3*x^2 on x >= 0
-    assert mono_requires_nonneg(f)
-    assert mono_increasing(f)
-    assert mono_eval_int(f, 4) == 48
-    assert mono_inverse_frac(f, Fraction(48)) == 4
-    assert mono_inverse_frac(f, Fraction(3, 4)) == Fraction(1, 2)
-    assert mono_inverse_frac(f, Fraction(5)) is None  # irrational preimage
+    assert f.nonneg
+    assert f.increasing
+    assert f(4) == 48
+    assert f.inverse(Fraction(48)) == 4
+    assert f.inverse(Fraction(3, 4)) == Fraction(1, 2)
+    assert f.inverse(Fraction(5)) is None  # irrational preimage
     g = PowK(-2, 3)
-    assert not mono_increasing(g)
-    assert mono_eval_int(g, 2) == -16
-    assert mono_inverse_frac(g, Fraction(-16)) == 2
+    assert not g.increasing
+    assert g(2) == -16
+    assert g.inverse(Fraction(-16)) == 2
 
 
 def test_powersum3_eval_and_inverse():
     f = PowerSum3()
-    assert mono_eval_int(f, 0) == 1
-    assert mono_eval_int(f, 2) == 15
-    assert mono_eval_frac(f, Fraction(1, 2)) == Fraction(15, 8)
-    assert mono_inverse_frac(f, Fraction(15)) == 2
-    assert mono_inverse_frac(f, Fraction(15, 8)) == Fraction(1, 2)
-    assert mono_inverse_frac(f, Fraction(14)) is None
-    assert mono_requires_nonneg(f) and mono_increasing(f)
+    assert f(0) == 1
+    assert f(2) == 15
+    assert f(Fraction(1, 2)) == Fraction(15, 8)
+    assert f.inverse(Fraction(15)) == 2
+    assert f.inverse(Fraction(15, 8)) == Fraction(1, 2)
+    assert f.inverse(Fraction(14)) is None
+    assert f.nonneg and f.increasing
+
+
+def test_inverses_are_exact_at_any_size():
+    # a preimage's denominator is any cube root, and roots are taken on ints
+    g = PowerSum3()
+    assert g.inverse(g(Fraction(1, 101))) == Fraction(1, 101)
+    assert g.inverse(g(Fraction(10**30 + 1, 10**10))) == Fraction(10**30 + 1, 10**10)
+    assert PowK(1, 2).inverse(Fraction(10**400)) == 10**200
+    assert PowK(1, 3).inverse(Fraction(1, 10**402)) == Fraction(1, 10**134)
+    assert PowK(1, 2).inverse(Fraction(10**400 + 1)) is None
+    assert PowK(1, 10**18).inverse(Fraction(1)) == 1
+
+
+FUNCS = [Affine(2, -1), Affine(-3, 4), PowK(3, 2), PowK(-2, 3), PowK(1, 1), PowerSum3()]
+GRID = sorted({Fraction(n, t) for n in range(-12, 13) for t in (1, 2, 3, 7)})
+
+
+@pytest.mark.parametrize("f", FUNCS, ids=repr)
+def test_function_table(f):
+    c = MonoBij(X1, f, X2)
+    domain = [x for x in GRID if x >= 0 or not f.nonneg]
+    for x in GRID:
+        # nonneg is the restriction that MonoBij reads, over ints and rationals
+        allowed = x >= 0 or not f.nonneg
+        assert sat_real(c, val(x1=f(x), x2=x)) is allowed
+        if x.denominator == 1:
+            assert sat_int(c, val(x1=f(int(x)), x2=int(x))) is allowed
+    for x in domain:
+        y = f(int(x)) if x.denominator == 1 else f(x)
+        assert type(y) is (int if x.denominator == 1 else Fraction)
+        assert f.inverse(y) == x
+    for a, b in zip(domain, domain[1:]):
+        assert (f(a) < f(b)) is f.increasing
 
 
 def test_monobij_sat():
@@ -197,10 +225,10 @@ def test_monobij_sat():
 
 def test_mono_eval_overflow():
     # exact past 64 bits; refused only where the power must pass 256 bits
-    assert mono_eval_int(PowK(1, 2), 1 << 32) == 1 << 64
-    assert mono_eval_int(PowK(-3, 3), 1 << 40) == -3 << 120
-    assert mono_eval_int(PowK(1, 10**18), -1) == 1
+    assert PowK(1, 2)(1 << 32) == 1 << 64
+    assert PowK(-3, 3)(1 << 40) == -3 << 120
+    assert PowK(1, 10**18)(-1) == 1
     with pytest.raises(OverflowError):
-        mono_eval_int(PowK(1, 7), 1 << 40)
+        PowK(1, 7)(1 << 40)
     with pytest.raises(OverflowError):
-        mono_eval_int(PowK(1, 10**18), 2)
+        PowK(1, 10**18)(2)

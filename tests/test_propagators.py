@@ -443,7 +443,8 @@ def test_class_table_pins_scope_real_and_closed_forms():
     # drops out still passes the peeling tests, since searching each value
     # reaches the same fixpoint, so the cases that have one are pinned here.
     B_Z, B_R = ConsistencyNotion.BOUNDS_Z, ConsistencyNotion.BOUNDS_R
-    x, y, z, b = make_vars(4)
+    x, y, z, b, outside = make_vars(5)
+    d = Domain((IntSet.interval(0, 3),) * 5)
     unit = (LinTerm(1, y), LinTerm(-1, x), LinTerm(1, z))
     cases = [  # constraint, scope in declaration order, notions with a closed form
         (LinEq(unit, 0), (y, x, z), {B_Z, B_R}),
@@ -468,3 +469,6 @@ def test_class_table_pins_scope_real_and_closed_forms():
         defined = sat_real(c, Valuation({v: 0 for v in scope})) is not UNDEFINED
         assert c.real == real_defined(c) == defined, c
         assert {n for n in NOTIONS if closed_form(c, n) is not None} == forms, c
+        for n in NOTIONS if c.real else [n for n in NOTIONS if n != B_R]:
+            with pytest.raises(ValueError, match="x5 is not a variable"):
+                support(d, c, n, outside, 0)
