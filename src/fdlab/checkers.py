@@ -19,12 +19,14 @@ keeps instead of asking each value, and `SumHull` keeps a linear sum's
 hull over the boxes, so that a caller revising every term pays O(1) each.
 
 The reported integer support is the lexicographically first one, with
-each variable's candidates in ascending order.  Real supports are decided
-by exact closed forms over rationals: the linear walk below, run over the
-real boxes, for linear constraints, point-interval counting for
-alldifferent, corner evaluation for the product and monotone-function
-constraints.  No floating point anywhere.  A support of var=value never
-reads var's own set.
+each variable's candidates in ascending order.  A linear or bilinear form
+takes its least and greatest values over a box at integral corners, so the
+real supports of `<=`, `!=` and x1*x2 <= x3 are the integer ones over the
+boxes, and `_real_support` asks the integer search for them.  It decides
+the others by exact closed forms over rationals: the linear walk below, run
+over the real boxes, for `=`, point-interval counting for alldifferent,
+corner evaluation for the monotone-function constraint.  No floating point
+anywhere.  A support of var=value never reads var's own set.
 
 An integer support is a tuple of ints in vars_of(c) order; only `support`
 makes a `Valuation`, of the witness it reports.  Product ones come from
@@ -45,9 +47,9 @@ the remainder, and where its tables would be large the walk goes first,
 for a bounded time, so that an early support over wide ranges costs no
 table.  Every linear support, integer or real, reads the remainder left
 once var=value is pinned (`_pinned_linear`) and the least and greatest sum
-of each suffix of the other terms (`_hull`).  The real one is the walk
-over the boxes, with exact division where the integer one rounds, which
-never backtracks.  All support arithmetic is exact Python ints and
+of each suffix of the other terms (`_hull`).  The real one at `=` is the
+walk over the boxes, with exact division where the integer one rounds,
+which never backtracks.  All support arithmetic is exact Python ints and
 Fractions: values are checked to fit 64 bits where they enter (see
 `domains`), and no intermediate sum or product is bounded.
 """
@@ -388,35 +390,23 @@ def _product_support(
 # real (rational) bound supports, closed forms
 
 
-def _real_support_linear(
-    d: Domain, c: Constraint, pin: VarId, value: int
+def _real_support_eq(
+    d: Domain, c: LinEq, pin: VarId, value: int
 ) -> tuple[bool, Valuation | None]:
     # The integer walk over the real boxes: each variable takes the least
     # value its window allows, dividing exactly where the integer one rounds.
     others, coeffs, rest = _pinned_linear(c, pin, value)
     boxes = [(d.inf(v), d.sup(v)) for v in others]
     hull = _hull(boxes, coeffs)
-    lo, hi = hull[0]
-    bindings: dict[VarId, int | Fraction] = {pin: value}
-    if c.op == "ne":  # infeasible only when the boxes reach the forbidden sum alone
-        if lo == hi == rest:
-            return False, None
-        # the least corner, or a midpoint of one box if that corner hits rest
-        bindings.update((v, l) for v, (l, _) in zip(others, boxes))
-        if sum(a * l for a, (l, _) in zip(coeffs, boxes)) == rest:
-            v, l, u = next((v, l, u) for v, (l, u) in zip(others, boxes) if l < u)
-            bindings[v] = Fraction(l + u, 2)
-        return True, Valuation(bindings)
-    if lo > rest or (c.op == "eq" and rest > hi):
+    if not hull[0][0] <= rest <= hull[0][1]:
         return False, None
+    bindings: dict[VarId, int | Fraction] = {pin: value}
     for v, a, (l, _), (lo, hi) in zip(others, coeffs, boxes, hull[1:]):
-        # the least x in the box with a*x + lo <= rest, and at eq a*x + hi >= rest
+        # the least x in the box with lo <= rest - a*x <= hi
         if a < 0:
             x = l if a * l + lo <= rest else Fraction(rest - lo, a)
-        elif c.op == "eq":
-            x = l if a * l + hi >= rest else Fraction(rest - hi, a)
         else:
-            x = l
+            x = l if a * l + hi >= rest else Fraction(rest - hi, a)
         bindings[v] = x
         rest -= a * x
     return True, Valuation(bindings)
@@ -449,33 +439,6 @@ def _real_support_alldiff(
                 used.add(cand)
                 break
     return True, Valuation(bindings)
-
-
-def _real_support_product(
-    d: Domain, c: ProductLe, pin: VarId, value: int
-) -> tuple[bool, Valuation | None]:
-    def box(v: VarId) -> tuple[int, int]:
-        if v == pin:
-            return value, value
-        return d.inf(v), d.sup(v)
-
-    l1, u1 = box(c.x1)
-    l2, u2 = box(c.x2)
-    l3, u3 = box(c.x3)
-    # bilinear extrema over a box sit at corners
-    best: tuple[int, int, int] | None = None
-    for v1 in sorted({l1, u1}):
-        for v2 in sorted({l2, u2}):
-            p = v1 * v2
-            if p <= u3:
-                best = (v1, v2, max(l3, p))
-                break
-        if best:
-            break
-    if best is None:
-        return False, None
-    v1, v2, v3 = best
-    return True, Valuation({c.x1: v1, c.x2: v2, c.x3: v3})
 
 
 def _real_support_monobij(
@@ -512,11 +475,14 @@ def _real_support(
         )
     if isinstance(c, AllDifferent):
         return _real_support_alldiff(d, c, pin, value)
-    if isinstance(c, ProductLe):
-        return _real_support_product(d, c, pin, value)
     if isinstance(c, MonoBij):
         return _real_support_monobij(d, c, pin, value)
-    return _real_support_linear(d, c, pin, value)
+    if isinstance(c, LinEq):
+        return _real_support_eq(d, c, pin, value)
+    # <=, != and x1*x2 <= x3: least and greatest values over a box sit at its
+    # integral corners, so the real supports are the integer ones
+    t = _find_int_support(c, pin, value, candidates(d, ConsistencyNotion.BOUNDS_Z))
+    return t is not None, None if t is None else Valuation(dict(zip(c.scope, t)))
 
 
 # --------------------------------------------------------------------------
@@ -622,16 +588,16 @@ def closed_form(
     ascending, disjoint, non-empty windows; `hull` is a `SumHull` of c over
     d for the linear reader, None for the others.  The cases:
 
-    - `<=` at every notion (a least sum sits at set ends, which sets and
-      boxes share), `=` at bounds(R), and `=` at bounds(Z) when every
-      coefficient is +-1 (the integer sums over integer boxes then fill
-      their hull): one window.
+    - `<=` at every notion (a least sum over sets, integer boxes or real
+      boxes sits at the same integral corners, the sets' ends), `=` at
+      bounds(R), and `=` at bounds(Z) when every coefficient is +-1 (the
+      integer sums over integer boxes then fill their hull): one window.
     - x1*x2 <= x3 at every notion: for a fixed factor the product is linear
-      in the other one, so its least value over a set sits at the set's
-      ends, which the set's box shares.  x3 keeps the values at or above
-      the least corner product; x1 keeps v with l*v <= u3 or u*v <= u3,
-      for x2's ends l, u and x3's sup u3 (two windows, maybe with a gap),
-      and x2 likewise.
+      in the other one, so its least value over a set, an integer box or a
+      real box sits at the same integral ends.  x3 keeps the values at or
+      above the least corner product; x1 keeps v with l*v <= u3 or
+      u*v <= u3, for x2's ends l, u and x3's sup u3 (two windows, maybe
+      with a gap), and x2 likewise.
     - alldifferent at bounds(R): a box of positive length avoids any finite
       set of reals, so only the other variables' point boxes F collide; the
       windows lie between the values of F, and none exist if F repeats one.

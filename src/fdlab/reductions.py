@@ -298,8 +298,9 @@ def refute_monotone(
 ) -> RefutePair | None:
     """Grid counterexample (theta solution, theta' non-solution) or None.
 
-    Samples integers and half-integers within the boxes.  A returned pair
-    proves non-monotonicity under `order`; None proves nothing.
+    Samples integers and half-integers within the boxes, in at most `cap`
+    `sat_real` calls.  A returned pair proves non-monotonicity under
+    `order`; None proves nothing.
     """
     if not real_defined(c):
         raise RealSemanticsUndefined(f"{type(c).__name__} has no real semantics")
@@ -308,11 +309,14 @@ def refute_monotone(
     cvars = vars_of(c)
 
     def grid(v: VarId) -> list[Fraction]:
+        # `cap` sat_real calls reach no grid point past the first `cap`
         l, u = d.inf(v), d.sup(v)
-        return [Fraction(l) + Fraction(k, 2) for k in range(2 * (u - l) + 1)]
+        return [Fraction(l) + Fraction(k, 2) for k in range(min(2 * (u - l) + 1, cap))]
 
+    grids = [grid(v) for v in cvars]
+    var_grid = grids[cvars.index(var)]
     budget = cap
-    for combo in itertools.product(*(grid(v) for v in cvars)):
+    for combo in itertools.product(*grids):
         budget -= 1
         if budget < 0:
             return None
@@ -320,10 +324,13 @@ def refute_monotone(
         if sat_real(c, theta) is not True:
             continue
         pivot = theta[var]
-        for v2 in grid(var):
+        for v2 in var_grid:
             below = v2 < pivot if order is VarMonotonicity.LT else v2 > pivot
             if not below:
                 continue
+            budget -= 1
+            if budget < 0:
+                return None
             bindings = dict(theta)
             bindings[var] = v2
             theta2 = Valuation(bindings)

@@ -230,29 +230,46 @@ def test_checkers_agree_with_oracle():
 
 
 def test_real_linear_supports_agree_with_oracle_near_64_bits():
-    # sums and products here leave the signed 64-bit range; none may raise
+    # sums and products here leave the signed 64-bit range; none may raise.
+    # At <=, != and x1*x2 <= x3 the least and greatest values over a box sit
+    # at its integral corners, so a bounds(R) support is the bounds(Z) one.
     rng = fresh_rng(14)
     big = 1 << 62
-    for _ in range(400):
-        vs = make_vars(rng.randint(1, 6))
+
+    def near_64_bits(vs):
         sets = []
         for _ in vs:
             centre = rng.choice([0, 0, big, -big, big - 5])
             size = rng.randint(1, 3)
             sets.append(IntSet.of(centre + rng.randint(-4, 4) for _ in range(size)))
-        d = Domain(tuple(sets))
+        return Domain(tuple(sets))
+
+    cases = []
+    for _ in range(400):
+        vs = make_vars(rng.randint(1, 6))
+        d = near_64_bits(vs)
         terms = tuple(LinTerm(rng.choice([-3, -2, -1, 1, 2, 3]), v) for v in vs)
         rhs = sum(t.coeff * rng.choice(d.get(t.var).values) for t in terms)
         rhs = max(-(1 << 63), min((1 << 63) - 1, rhs + rng.randint(-2, 2)))
-        c = rng.choice([LinEq, LinLe, LinNe])(terms, rhs)
-        for v in vs:
-            for value in d.get(v).values:
+        cases.append((d, rng.choice([LinEq, LinLe, LinNe])(terms, rhs)))
+    for _ in range(200):
+        vs = make_vars(3)
+        cases.append((near_64_bits(vs), ProductLe(*vs)))
+    x, y = make_vars(2)
+    xy = Domain((IntSet.of([0, 1]), IntSet.interval(0, 3)))
+    cases.append((xy, LinNe((LinTerm(1, x), LinTerm(1, y)), 0)))  # x=0: y=1, not 3/2
+    cases.append((xy, LinLe((LinTerm(1, x), LinTerm(-2, y)), 0)))  # x=1: y=1, not 1/2
+    for d, c in cases:
+        for v in c.scope:
+            for value in range(d.inf(v) - 1, d.sup(v) + 2):
                 w = checkers.support(d, c, ConsistencyNotion.BOUNDS_R, v, value)
                 assert w.supported == _real_support_exists(d, c, v, value), (c, v, value)
                 if w.supported:
                     assert sat_real(c, w.witness) is True
-                    assert member_box(w.witness, d)
-                    assert w.witness[v] == value
+                    assert member_box(w.witness, d.with_set(v, IntSet.of([value])))
+                if not isinstance(c, LinEq):
+                    z = checkers.support(d, c, ConsistencyNotion.BOUNDS_Z, v, value)
+                    assert w == z, (c, v, value)
 
 
 def _lex_first(free_vals, coeffs, target, op):

@@ -184,6 +184,18 @@ def test_analyze_monotone(tmp_path, capsys):
     assert "c1: x1: <, x2: <, x3: >" in out
 
 
+def test_analyze_monotone_answers_over_a_wide_box(tmp_path, capsys):
+    # x's box holds 2*10**9 + 1 half-integer grid points
+    p = tmp_path / "wide.model"
+    p.write_text(
+        "var x in {0,1000000000}\nvar y in [0,1]\n"
+        "constraint c: lineq 1*x - 1*y = 0\n"
+    )
+    code, out, _ = run(capsys, "analyze-monotone", str(p))
+    assert code == 0
+    assert out.startswith("c: x: not-monotone, y: not-monotone\n")
+
+
 def test_analyze_monotone_reports_counterexamples(example1, capsys):
     code, out, _ = run(capsys, "analyze-monotone", example1, "--json")
     assert code == 0

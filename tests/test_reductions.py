@@ -23,7 +23,14 @@ from fdlab import (
     refute_monotone,
 )
 from fdlab.checkers import ConsistencyNotion as N
-from fdlab.checkers import check, check_bounds_d, check_bounds_r, check_bounds_z, check_domain
+from fdlab.checkers import (
+    check,
+    check_bounds_d,
+    check_bounds_r,
+    check_bounds_z,
+    check_domain,
+    support,
+)
 from fdlab.constraints import sat_int, sat_real
 from fdlab.domains import Valuation
 from fdlab.oracle import oracle_subset_sum
@@ -219,6 +226,19 @@ class TestRefuter:
                 if verdict in (LT, GT):
                     assert refute_monotone(c, d, v, verdict) is None
 
+    def test_refuter_keeps_to_its_cap(self, monkeypatch):
+        import fdlab.reductions
+
+        calls = []
+        sat = fdlab.reductions.sat_real
+        monkeypatch.setattr(
+            fdlab.reductions, "sat_real", lambda *args: calls.append(1) or sat(*args)
+        )
+        (x,) = make_vars(1)
+        c = LinLe((LinTerm(1, x),), 1000)  # every grid point satisfies it
+        assert refute_monotone(c, box((0, 100)), x, GT, cap=50) is None
+        assert 0 < len(calls) <= 50
+
 
 def test_monotone_constraints_collapse_all_four_notions():
     # when every variable is monotone, one notion's verdict decides them all
@@ -263,6 +283,11 @@ def test_disequality_collapses_the_three_bounds_notions():
         bz = check_bounds_z(d, c).consistent
         br = check_bounds_r(d, c).consistent
         assert bd == bz == br, (c, d, bd, bz, br)
+        # the collapse holds per value: the same verdict and witness
+        for v in vs:
+            for value in range(d.inf(v) - 1, d.sup(v) + 2):
+                z = support(d, c, N.BOUNDS_Z, v, value)
+                assert support(d, c, N.BOUNDS_R, v, value) == z, (c, d, v, value)
 
 
 def test_bijection_collapses_the_three_bounds_notions():
