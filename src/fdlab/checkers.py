@@ -20,38 +20,41 @@ hull over the boxes, so that a caller revising every term pays O(1) each.
 
 The reported integer support is the lexicographically first one, with
 each variable's candidates in ascending order.  A linear or bilinear form
-takes its least and greatest values over a box at integral corners, so the
-real supports of `<=`, `!=` and x1*x2 <= x3 are the integer ones over the
-boxes, and `_real_support` asks the integer search for them.  It decides
-the others by exact closed forms over rationals: the linear walk below, run
-over the real boxes, for `=`, point-interval counting for alldifferent,
-corner evaluation for the monotone-function constraint.  No floating point
-anywhere.  A support of var=value never reads var's own set.
+takes its least and greatest values over a box at integral corners, and
+x1 = g(x2) with x2 pinned has the one support g(value), so for these the
+real supports are the integer ones over the boxes.  `_real_support` keeps
+a search of its own, exact over rationals, only where bounds(R) differs
+from bounds(Z): `=` (exact division), alldifferent (a box of positive
+length avoids any finite set of points) and x1 = g(x2) with x1 pinned
+(its preimage may be irrational).  No floating point anywhere.  A support
+of var=value never reads var's own set.
 
-An integer support is a tuple of ints in vars_of(c) order; only `support`
-makes a `Valuation`, of the witness it reports.  Product ones come from
-window lookups: for a fixed factor the product is linear in the other, so
-each variable in turn takes its least value that the later ones can still
-complete.  A strictly monotone g leaves one candidate for x1 = g(x2) once
-either side is pinned: g(value), or value's integral preimage.  Other
-non-linear ones come from a scan in lex order that tests each tuple with
-the class's `holds`.  Linear and reified linear ones come from one
-lex-first walk (`_lex_walk`) in
-which each variable tries only the values whose remainder the later terms
-can still meet.  At `<=` it never backtracks (polynomial); `!=` is two
-`<=` walks, below and above the target, and a reified `<=` one per value
-of its bool.  At `=` it may backtrack, as bounds(Z) checking of a linear
-equation is NP-hard: an equation goes to meet in the middle (exponential
-in half the variables) unless the gcd of the coefficients does not divide
-the remainder, and where its tables would be large the walk goes first,
-for a bounded time, so that an early support over wide ranges costs no
-table.  Every linear support, integer or real, reads the remainder left
-once var=value is pinned (`_pinned_linear`) and the least and greatest sum
-of each suffix of the other terms (`_hull`).  The real one at `=` is the
-walk over the boxes, with exact division where the integer one rounds,
-which never backtracks.  All support arithmetic is exact Python ints and
-Fractions: values are checked to fit 64 bits where they enter (see
-`domains`), and no intermediate sum or product is bounded.
+Every search answers with the supporting values in vars_of(c) order, ints
+for an integer support and ints or Fractions for a real one; only
+`support` makes a `Valuation`, of the witness it reports.  Integer product
+supports come from window lookups: for a fixed factor the product is
+linear in the other, so each variable in turn takes its least value that
+the later ones can still complete.  A strictly monotone g leaves one
+candidate for x1 = g(x2) once either side is pinned: g(value), or value's
+integral preimage.  Other non-linear ones come from a scan in lex order
+that tests each tuple with the class's `holds`.  Linear and reified linear
+ones come from one lex-first walk (`_lex_walk`) in which each variable
+tries only the values whose remainder the later terms can still meet.  At
+`<=` it never backtracks (polynomial), and a reified `<=` is one such walk
+per value of its bool; `!=` needs no walk, as the lex-first assignment or
+its lex successor has a sum other than the target.  At `=` it may
+backtrack, as bounds(Z) checking of a linear equation is NP-hard: an
+equation goes to meet in the middle (exponential in half the variables)
+unless the gcd of the coefficients does not divide the remainder, and
+where its tables would be large the walk goes first, for a bounded time,
+so that an early support over wide ranges costs no table.  Every linear
+support, integer or real, reads the remainder left once var=value is
+pinned (`_pinned_linear`) and the least and greatest sum of each suffix of
+the other terms (`_hull`).  The real one at `=` is the walk over the
+boxes, with exact division where the integer one rounds, which never
+backtracks.  All support arithmetic is exact Python ints and Fractions:
+values are checked to fit 64 bits where they enter (see `domains`), and no
+intermediate sum or product is bounded.
 """
 
 from __future__ import annotations
@@ -299,10 +302,12 @@ def _scan_linear_py(
     least = tuple(vs[0] for vs in free_vals)  # the lex-first assignment of all
     if sum(map(mul, coeffs, least)) != target:
         return least
-    # != is < or >: the lex-smaller of the first sum below and the first above
-    below = _lex_walk(free_vals, coeffs, target - 1, "le")
-    above = _lex_walk(free_vals, [-a for a in coeffs], -target - 1, "le")
-    return min((t for t in (below, above) if t is not None), default=None)
+    # Its lex successor moves the last variable that has a second candidate
+    # to it, which changes the sum by a non-zero amount.
+    for i in range(len(free_vals) - 1, -1, -1):
+        if _size(free_vals[i]) > 1:
+            return least[:i] + (free_vals[i][1],) + least[i + 1 :]
+    return None
 
 
 CandidateFn = Callable[[VarId], Sequence[int]]
@@ -390,9 +395,10 @@ def _product_support(
 # real (rational) bound supports, closed forms
 
 
-def _real_support_eq(
-    d: Domain, c: LinEq, pin: VarId, value: int
-) -> tuple[bool, Valuation | None]:
+RealSupport = tuple[bool, tuple[int | Fraction, ...] | None]
+
+
+def _real_support_eq(d: Domain, c: LinEq, pin: VarId, value: int) -> RealSupport:
     # The integer walk over the real boxes: each variable takes the least
     # value its window allows, dividing exactly where the integer one rounds.
     others, coeffs, rest = _pinned_linear(c, pin, value)
@@ -400,57 +406,45 @@ def _real_support_eq(
     hull = _hull(boxes, coeffs)
     if not hull[0][0] <= rest <= hull[0][1]:
         return False, None
-    bindings: dict[VarId, int | Fraction] = {pin: value}
-    for v, a, (l, _), (lo, hi) in zip(others, coeffs, boxes, hull[1:]):
+    chosen: list[int | Fraction] = []
+    for a, (l, _), (lo, hi) in zip(coeffs, boxes, hull[1:]):
         # the least x in the box with lo <= rest - a*x <= hi
         if a < 0:
             x = l if a * l + lo <= rest else Fraction(rest - lo, a)
         else:
             x = l if a * l + hi >= rest else Fraction(rest - hi, a)
-        bindings[v] = x
+        chosen.append(x)
         rest -= a * x
-    return True, Valuation(bindings)
+    chosen.insert(c.scope.index(pin), value)
+    return True, tuple(chosen)
 
 
 def _real_support_alldiff(
     d: Domain, c: AllDifferent, pin: VarId, value: int
-) -> tuple[bool, Valuation | None]:
-    # Positive-length intervals hold unboundedly many reals, so collisions
-    # can only be forced among point intervals and the pinned value.
-    bindings: dict[VarId, Fraction] = {pin: Fraction(value)}
-    flexible: list[tuple[VarId, int, int]] = []
-    for v in c.vars:
-        if v == pin:
-            continue
-        l, u = d.inf(v), d.sup(v)
-        if l == u:
-            bindings[v] = Fraction(l)
-        else:
-            flexible.append((v, l, u))
-    used = set(bindings.values())
-    if len(used) != len(bindings):
+) -> RealSupport:
+    # A box of positive length holds unboundedly many reals, so collisions
+    # can only be forced among point boxes, pin=value's among them.  Each
+    # box of positive length takes the first of m + 3 evenly spaced points
+    # in it that the m values used so far miss.
+    boxes = [(value, value) if v == pin else (d.inf(v), d.sup(v)) for v in c.scope]
+    used = {l for l, u in boxes if l == u}
+    if len(used) < sum(l == u for l, u in boxes):
         return False, None
-    for v, l, u in flexible:
-        m = len(used)
-        for k in range(m + 3):
-            cand = Fraction(l) + Fraction(u - l) * Fraction(k, m + 2)
-            if cand not in used:
-                bindings[v] = cand
-                used.add(cand)
-                break
-    return True, Valuation(bindings)
+    chosen: list[int | Fraction] = []
+    for l, u in boxes:
+        x = l
+        if l < u:
+            m = len(used)
+            points = (l + Fraction((u - l) * k, m + 2) for k in range(m + 3))
+            x = next(p for p in points if p not in used)
+            used.add(x)
+        chosen.append(x)
+    return True, tuple(chosen)
 
 
-def _real_support_monobij(
-    d: Domain, c: MonoBij, pin: VarId, value: int
-) -> tuple[bool, Valuation | None]:
-    if pin == c.x2:
-        if c.func.nonneg and value < 0:
-            return False, None
-        y = mono_eval_vs64(c.func, value)
-        if not d.inf(c.x1) <= y <= d.sup(c.x1):
-            return False, None
-        return True, Valuation({c.x1: y, c.x2: value})
+def _real_support_monobij(d: Domain, c: MonoBij, value: int) -> RealSupport:
+    # x1 = value: supported iff value lies between g's values at x2's ends;
+    # its one preimage may be irrational, and then no witness is given
     l2, u2 = d.inf(c.x2), d.sup(c.x2)
     if c.func.nonneg:
         l2 = max(l2, 0)
@@ -461,28 +455,25 @@ def _real_support_monobij(
     if not min(ya, yb) <= value <= max(ya, yb):
         return False, None
     inv = c.func.inverse(value)
-    if inv is not None and l2 <= inv <= u2:
-        return True, Valuation({c.x1: value, c.x2: inv})
-    return True, None
+    return True, ((value, inv) if inv is not None and l2 <= inv <= u2 else None)
 
 
-def _real_support(
-    d: Domain, c: Constraint, pin: VarId, value: int
-) -> tuple[bool, Valuation | None]:
+def _real_support(d: Domain, c: Constraint, pin: VarId, value: int) -> RealSupport:
+    """Whether pin=value has a support in the real boxes, with the values of
+    a rational one in vars_of(c) order where one exists."""
     if not c.real:
         raise RealSemanticsUndefined(
             f"{type(c).__name__} has no real semantics; bounds(R) undefined"
         )
-    if isinstance(c, AllDifferent):
-        return _real_support_alldiff(d, c, pin, value)
-    if isinstance(c, MonoBij):
-        return _real_support_monobij(d, c, pin, value)
     if isinstance(c, LinEq):
         return _real_support_eq(d, c, pin, value)
-    # <=, != and x1*x2 <= x3: least and greatest values over a box sit at its
-    # integral corners, so the real supports are the integer ones
+    if isinstance(c, AllDifferent):
+        return _real_support_alldiff(d, c, pin, value)
+    if isinstance(c, MonoBij) and pin == c.x1:
+        return _real_support_monobij(d, c, value)
+    # the others' real supports are their integer ones (see the module doc)
     t = _find_int_support(c, pin, value, candidates(d, ConsistencyNotion.BOUNDS_Z))
-    return t is not None, None if t is None else Valuation(dict(zip(c.scope, t)))
+    return t is not None, t
 
 
 # --------------------------------------------------------------------------
@@ -614,17 +605,6 @@ def closed_form(
     return None
 
 
-def supported_windows(
-    d: Domain, c: Constraint, notion: ConsistencyNotion, var: VarId
-) -> tuple[range, ...] | None:
-    """Positions in var's values of those with a support at `notion`, as
-    `closed_form`'s reader gives them, or None when it has none."""
-    form = closed_form(c, notion)
-    if form is None:
-        return None
-    return form(d, c, var, d.get(var).values, SumHull(d, c) if form is _linear_windows else None)
-
-
 def support(
     d: Domain, c: Constraint, notion: ConsistencyNotion, var: VarId, value: int
 ) -> SupportWitness:
@@ -633,12 +613,12 @@ def support(
         raise ValueError(f"{var.name} is not a variable of the {type(c).__name__}")
     cands = candidates(d, notion)
     if cands is None:
-        supported, w = _real_support(d, c, var, value)
-        return SupportWitness(var, value, supported, w)
-    t = _find_int_support(c, var, value, cands)
-    if t is None:
-        return SupportWitness(var, value, False, None)
-    return SupportWitness(var, value, True, Valuation(dict(zip(c.scope, t))))
+        supported, t = _real_support(d, c, var, value)
+    else:
+        t = _find_int_support(c, var, value, cands)
+        supported = t is not None
+    witness = None if t is None else Valuation(dict(zip(c.scope, t)))
+    return SupportWitness(var, value, supported, witness)
 
 
 def check(d: Domain, c: Constraint, notion: ConsistencyNotion) -> CheckResult:

@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 
 from .checkers import ConsistencyNotion, _hull, _pinned_linear
 from .constraints import (
@@ -29,6 +30,7 @@ from .constraints import (
     MonoBij,
     ProductLe,
     RealSemanticsUndefined,
+    mono_eval_vs64,
     real_defined,
     sat_real,
     vars_of,
@@ -140,23 +142,23 @@ def _verdict(lt_ok: bool, gt_ok: bool) -> VarMonotonicity:
     return VarMonotonicity.NOT_MONOTONE
 
 
+def _determined_verdict(l: int, u: int, lo, hi) -> VarMonotonicity:
+    """Verdict for a variable with box [l, u] whose value in a solution the
+    others fix within [lo, hi]: monotone unless that span meets the box
+    elsewhere than at one end (missing it, no solution touches the box)."""
+    a, b = max(l, lo), min(u, hi)
+    if a > b or a == b == l:
+        return VarMonotonicity.LT
+    if a == b == u:
+        return VarMonotonicity.GT
+    return VarMonotonicity.NOT_MONOTONE
+
+
 def _lineq_verdicts(c: LinEq, d: Domain) -> dict[VarId, VarMonotonicity]:
-    out = {}
-    for t in c.terms:
-        v = t.var
-        vlo, vhi = _pinned_range(c, d, t)
-        li, ui = d.inf(v), d.sup(v)
-        a_end = max(Fraction(li), vlo)
-        b_end = min(Fraction(ui), vhi)
-        if a_end > b_end:
-            out[v] = VarMonotonicity.LT  # no real solutions touch this box
-        elif a_end == b_end == li:
-            out[v] = VarMonotonicity.LT
-        elif a_end == b_end == ui:
-            out[v] = VarMonotonicity.GT
-        else:
-            out[v] = VarMonotonicity.NOT_MONOTONE
-    return out
+    return {
+        t.var: _determined_verdict(d.inf(t.var), d.sup(t.var), *_pinned_range(c, d, t))
+        for t in c.terms
+    }
 
 
 def _linne_verdicts(c: LinNe, d: Domain) -> dict[VarId, VarMonotonicity]:
@@ -259,7 +261,7 @@ def _monobij_verdicts(c: MonoBij, d: Domain) -> dict[VarId, VarMonotonicity]:
     l2p = max(l2, 0) if c.func.nonneg else l2
     if l2p > u2:
         return {c.x1: VarMonotonicity.LT, c.x2: VarMonotonicity.LT}
-    g, inc = c.func, c.func.increasing
+    g, inc = partial(mono_eval_vs64, c.func), c.func.increasing  # read against box ends
     g_lo, g_hi = g(l2p), g(u2)
     gmin, gmax = (g_lo, g_hi) if g_lo <= g_hi else (g_hi, g_lo)
     j_empty = gmin > u1 or gmax < l1
@@ -278,15 +280,15 @@ def _monobij_verdicts(c: MonoBij, d: Domain) -> dict[VarId, VarMonotonicity]:
         viol_gt = not mem(u2) or (l2p < u2 and (g(u2) > l1 if inc else g(u2) < u1))
         v2 = _verdict(not viol_lt, not viol_gt)
 
-    a_end = max(l1, gmin)
-    b_end = min(u1, gmax)
-    if a_end > b_end or a_end == b_end == l1:
-        v1 = VarMonotonicity.LT
-    elif a_end == b_end == u1:
-        v1 = VarMonotonicity.GT
-    else:
-        v1 = VarMonotonicity.NOT_MONOTONE
-    return {c.x1: v1, c.x2: v2}
+    return {c.x1: _determined_verdict(l1, u1, gmin, gmax), c.x2: v2}
+
+
+def _sat_real_or_none(c: Constraint, theta: Valuation):
+    """sat_real, or None where it would need a power past 256 bits."""
+    try:
+        return sat_real(c, theta)
+    except OverflowError:
+        return None
 
 
 def refute_monotone(
@@ -299,8 +301,9 @@ def refute_monotone(
     """Grid counterexample (theta solution, theta' non-solution) or None.
 
     Samples integers and half-integers within the boxes, in at most `cap`
-    `sat_real` calls.  A returned pair proves non-monotonicity under
-    `order`; None proves nothing.
+    `sat_real` calls, and skips a sample that `sat_real` cannot decide
+    without a power past 256 bits.  A returned pair proves
+    non-monotonicity under `order`; None proves nothing.
     """
     if not real_defined(c):
         raise RealSemanticsUndefined(f"{type(c).__name__} has no real semantics")
@@ -321,7 +324,7 @@ def refute_monotone(
         if budget < 0:
             return None
         theta = Valuation(dict(zip(cvars, combo)))
-        if sat_real(c, theta) is not True:
+        if _sat_real_or_none(c, theta) is not True:
             continue
         pivot = theta[var]
         for v2 in var_grid:
@@ -334,7 +337,7 @@ def refute_monotone(
             bindings = dict(theta)
             bindings[var] = v2
             theta2 = Valuation(bindings)
-            if sat_real(c, theta2) is False:
+            if _sat_real_or_none(c, theta2) is False:
                 return theta, theta2
     return None
 

@@ -31,7 +31,14 @@ from fdlab import (
     propagate,
     propagate_linear_br,
 )
-from fdlab.checkers import ConsistencyNotion, check, closed_form, support, supported_windows
+from fdlab.checkers import (
+    ConsistencyNotion,
+    SumHull,
+    _linear_windows,
+    check,
+    closed_form,
+    support,
+)
 from fdlab.constraints import UNDEFINED, AllDifferent, real_defined, sat_real, vars_of
 from fdlab.domains import INT64_MAX, INT64_MIN, member_box
 from fdlab.oracle import _real_support_exists, oracle_fixpoint
@@ -359,13 +366,14 @@ def test_supported_windows_hold_exactly_the_supported_values():
             c = random_linear(rng, vs, kinds=(LinEq, LinLe))
         d = random_domain(rng, len(vs), lo=-6, hi=6, max_size=rng.choice([1, 2, 4, 6]))
         for notion in NOTIONS:
+            form = closed_form(c, notion)
+            if form is None:
+                continue
             for var in vs:
-                windows = supported_windows(d, c, notion, var)
-                if windows is None:
-                    continue
-                answered += 1
-                got = [k for w in windows for k in w]
                 values = d.get(var).values
+                hull = SumHull(d, c) if form is _linear_windows else None
+                answered += 1
+                got = [k for w in form(d, c, var, values, hull) for k in w]
                 want = [k for k, x in enumerate(values) if support(d, c, notion, var, x).supported]
                 assert got == want, (c, d, notion, var)
     assert answered > 1000
@@ -389,9 +397,10 @@ def test_product_revise_keeps_both_sides_of_a_gap():
 
 def test_alldifferent_real_revise_fails_on_colliding_points():
     c = AllDifferent((X1, X2, X3))
-    assert propagate(dom3([2], [2], range(1, 6)), c, ConsistencyNotion.BOUNDS_R).failed
+    d = dom3([2], [2], range(1, 6))
+    assert propagate(d, c, ConsistencyNotion.BOUNDS_R).failed
     # x3 alone sees no value: x1 and x2 collide whatever x3 takes
-    assert supported_windows(dom3([2], [2], range(1, 6)), c, ConsistencyNotion.BOUNDS_R, X3) == ()
+    assert closed_form(c, ConsistencyNotion.BOUNDS_R)(d, c, X3, d.get(X3).values, None) == ()
     res = propagate(dom3([2], [4], [2, 3, 4]), c, ConsistencyNotion.BOUNDS_R)
     assert res.domain == dom3([2], [4], [3])
 

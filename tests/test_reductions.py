@@ -300,6 +300,11 @@ def test_bijection_collapses_the_three_bounds_notions():
         bz = check_bounds_z(d, c).consistent
         br = check_bounds_r(d, c).consistent
         assert bd == bz == br, (c, d, bd, bz, br)
+        # x2 pinned leaves the one support g(x2): the same verdict and witness
+        x2 = vs[1]
+        for value in range(d.inf(x2) - 1, d.sup(x2) + 2):
+            z = support(d, c, N.BOUNDS_Z, x2, value)
+            assert support(d, c, N.BOUNDS_R, x2, value) == z, (c, d, value)
 
 
 def test_unit_coefficient_equations_tie_integer_and_real_bounds():

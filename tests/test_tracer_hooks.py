@@ -9,7 +9,7 @@ import pytest
 
 from conftest import make_vars
 import fdlab.propagators
-from fdlab import Domain, IntSet, LinLe, LinNe, LinTerm, ProductLe, propagate
+from fdlab import Affine, Domain, IntSet, LinLe, LinNe, LinTerm, MonoBij, ProductLe, propagate
 from fdlab.checkers import ConsistencyNotion
 
 
@@ -28,8 +28,9 @@ def test_every_traced_name_is_an_attribute_of_its_owner():
 
 
 def test_each_support_query_of_propagate_reaches_one_traced_name(monkeypatch):
-    # A bounds(R) support of <=, != or a product runs the integer search
-    # inside checkers; propagate must still count it once, as a real query.
+    # A bounds(R) support of <=, !=, a product or x1 = g(x2) with x2 pinned
+    # runs the integer search inside checkers; propagate must still count it
+    # once, as a real query.
     calls = Counter()
 
     def count(name):
@@ -46,7 +47,8 @@ def test_each_support_query_of_propagate_reaches_one_traced_name(monkeypatch):
     x1, x2, x3 = make_vars(3)
     d = Domain((IntSet.of([-2, 0, 3]), IntSet.interval(-1, 2), IntSet.of([-4, 1, 5])))
     terms = (LinTerm(2, x1), LinTerm(-1, x2), LinTerm(3, x3))
-    for c in LinNe(terms, 5), LinNe(terms[:1], 0), LinLe(terms, 1), ProductLe(x1, x2, x3):
+    bij = MonoBij(x1, Affine(1, -1), x2)
+    for c in LinNe(terms, 5), LinNe(terms[:1], 0), LinLe(terms, 1), ProductLe(x1, x2, x3), bij:
         for notion in ConsistencyNotion:
             calls.clear()
             propagate(d, c, notion)
@@ -54,5 +56,5 @@ def test_each_support_query_of_propagate_reaches_one_traced_name(monkeypatch):
             if notion is ConsistencyNotion.BOUNDS_R:
                 queried, untouched = untouched, queried
             assert calls[untouched] == 0, (c, notion)
-            if isinstance(c, LinNe):  # no closed form: each value is a query
+            if isinstance(c, (LinNe, MonoBij)):  # no closed form: each value is a query
                 assert calls[queried] > 0, (c, notion)
