@@ -165,15 +165,15 @@ def _run(
         pending = deque(range(len(m.constraints)))
     else:
         pending = deque(sorted({i for v in changed for i in m.watchers[v.index]}))
+    if queue_policy not in ("fifo", "lifo"):
+        raise ValueError(f"queue_policy must be 'fifo' or 'lifo', not {queue_policy!r}")
+    take = pending.pop if queue_policy == "lifo" else pending.popleft
     queued = set(pending)
     start = d
     records: list[TraceRecord] = []
 
     while pending:
-        if queue_policy == "lifo":
-            i = pending.pop()
-        else:
-            i = pending.popleft()
+        i = take()
         queued.discard(i)
         c, notion = m.constraints[i]
         res = propagate(d, c, notion)

@@ -7,8 +7,9 @@ which is what makes exact bound checking expensive in general.
 is_monotonic classifies each variable of a real-defined constraint as
 monotone under the numeric order `<`, under `>`, or not monotone, judged
 over the boxes of the domain passed in.  Verdicts come from exact closed
-forms; a rational grid refuter (integers and half-integers) is used to
-attach counterexample pairs to "not monotone" verdicts.
+forms; refute_monotone attaches counterexample pairs to "not monotone"
+verdicts, sampling the integers and half-integers nearest each box's ends
+in at most `cap` loop steps and `sat_real` calls per variable and order.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .constraints import (
     MonoBij,
     ProductLe,
     RealSemanticsUndefined,
+    _int_root,
     mono_eval_vs64,
     real_defined,
     sat_real,
@@ -283,14 +285,6 @@ def _monobij_verdicts(c: MonoBij, d: Domain) -> dict[VarId, VarMonotonicity]:
     return {c.x1: _determined_verdict(l1, u1, gmin, gmax), c.x2: v2}
 
 
-def _sat_real_or_none(c: Constraint, theta: Valuation):
-    """sat_real, or None where it would need a power past 256 bits."""
-    try:
-        return sat_real(c, theta)
-    except OverflowError:
-        return None
-
-
 def refute_monotone(
     c: Constraint,
     d: Domain,
@@ -300,45 +294,42 @@ def refute_monotone(
 ) -> RefutePair | None:
     """Grid counterexample (theta solution, theta' non-solution) or None.
 
-    Samples integers and half-integers within the boxes, in at most `cap`
-    `sat_real` calls, and skips a sample that `sat_real` cannot decide
-    without a power past 256 bits.  A returned pair proves
-    non-monotonicity under `order`; None proves nothing.
+    Each box gives its integers and half-integers, or past `per` of them
+    (the floor arity-th root of `cap`) its `per - per // 2` lowest and
+    `per // 2` highest, so the grid holds at most `cap` samples; var is
+    walked innermost, in ascending order.  A sample that `sat_real` cannot
+    decide without a power past 256 bits is skipped.  A returned pair
+    proves non-monotonicity under `order`; None proves nothing.
     """
     if not real_defined(c):
         raise RealSemanticsUndefined(f"{type(c).__name__} has no real semantics")
     if order not in (VarMonotonicity.LT, VarMonotonicity.GT):
         raise ValueError("order must be LT or GT")
     cvars = vars_of(c)
+    per = _int_root(max(cap, 0), len(cvars))
 
-    def grid(v: VarId) -> list[Fraction]:
-        # `cap` sat_real calls reach no grid point past the first `cap`
-        l, u = d.inf(v), d.sup(v)
-        return [Fraction(l) + Fraction(k, 2) for k in range(min(2 * (u - l) + 1, cap))]
+    def samples(v: VarId) -> list[Fraction]:
+        l, n = d.inf(v), 2 * (d.sup(v) - d.inf(v)) + 1
+        ks = range(n) if n <= per else [*range(per - per // 2), *range(n - per // 2, n)]
+        return [Fraction(l) + Fraction(k, 2) for k in ks]
 
-    grids = [grid(v) for v in cvars]
-    var_grid = grids[cvars.index(var)]
-    budget = cap
-    for combo in itertools.product(*grids):
-        budget -= 1
-        if budget < 0:
-            return None
-        theta = Valuation(dict(zip(cvars, combo)))
-        if _sat_real_or_none(c, theta) is not True:
-            continue
-        pivot = theta[var]
-        for v2 in var_grid:
-            below = v2 < pivot if order is VarMonotonicity.LT else v2 > pivot
-            if not below:
+    grids = [samples(v) for v in cvars]
+    inner = grids.pop(i := cvars.index(var))
+    # `first` is the least sample of var that is a non-solution under `<`,
+    # a solution under `>`; a later sample of the other kind completes a pair
+    kept = order is VarMonotonicity.GT
+    for rest in itertools.product(*grids):
+        first = None
+        for x in inner:
+            theta = Valuation(dict(zip(cvars, (*rest[:i], x, *rest[i:]))))
+            try:
+                sat = sat_real(c, theta)
+            except OverflowError:
                 continue
-            budget -= 1
-            if budget < 0:
-                return None
-            bindings = dict(theta)
-            bindings[var] = v2
-            theta2 = Valuation(bindings)
-            if _sat_real_or_none(c, theta2) is False:
-                return theta, theta2
+            if first is None and sat == kept:
+                first = theta
+            elif first is not None and sat != kept:
+                return (theta, first) if sat else (first, theta)
     return None
 
 

@@ -61,8 +61,13 @@ def solve(
     """All solutions of m within d (default: m's initial domain).
 
     `limit` caps the number of solutions, `node_budget` the number of search
-    nodes; hitting either leaves stats.complete False.
+    nodes; hitting either leaves stats.complete False.  A `limit` below 1
+    or a negative `node_budget` raises ValueError.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, not {limit}")
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node_budget must be at least 0, not {node_budget}")
     stats = SearchStats()
     solutions: list[Valuation] = []
     # each node carries the index before which its parent's sets are fixed

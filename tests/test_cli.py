@@ -135,6 +135,16 @@ def test_solve_limit_marks_incomplete(tmp_path, capsys):
     assert len([l for l in out.splitlines() if l.startswith("a=")]) == 2
 
 
+@pytest.mark.parametrize(
+    "cap", [("--limit", "0"), ("--limit", "-1"), ("--node-budget", "-3")]
+)
+def test_solve_refuses_a_cap_out_of_range(example1, capsys, cap):
+    code, out, err = run(capsys, "solve", example1, *cap)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and cap[0][2:].replace("-", "_") in err
+    assert "internal" not in err
+
+
 def test_solve_no_solutions_exits_one(tmp_path, capsys):
     p = tmp_path / "none.model"
     p.write_text("var x in [1,2]\nconstraint c1: lineq 1*x = 9\n")

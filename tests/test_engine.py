@@ -85,6 +85,16 @@ def test_failed_fixpoint_prunes_nothing_under_either_queue_policy():
     assert trace(m, queue_policy="lifo")[0] == failed
 
 
+@pytest.mark.parametrize("policy", ["LIFO", "stack", ""])
+def test_an_unknown_queue_policy_is_refused(policy):
+    x = VarId(0, "x")
+    m = Model.build([("x", IntSet.of([1, 2]))], [(LinLe((LinTerm(1, x),), 1), N.DOMAIN)])
+    with pytest.raises(ValueError, match="queue_policy"):
+        propagate_all(m, queue_policy=policy)
+    with pytest.raises(ValueError, match="queue_policy"):
+        trace(m, queue_policy=policy)
+
+
 def random_model(rng, nvars=3):
     d = random_domain(rng, nvars, max_size=4)
     vs = make_vars(nvars)

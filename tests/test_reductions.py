@@ -212,19 +212,50 @@ class TestRefuter:
 
     def test_monotone_verdicts_survive_the_refuter(self):
         rng = fresh_rng(54)
-        for _ in range(120):
-            nvars = rng.randint(1, 3)
+        kinds = ("linear", "alldiff", "product", "monobij")
+        survived = dict.fromkeys(kinds, 0)
+        while min(survived.values()) < 20:
+            kind = rng.choice(kinds)
+            nvars = {"linear": rng.randint(1, 3), "alldiff": rng.randint(2, 4),
+                     "product": 3, "monobij": 2}[kind]
             vs = make_vars(nvars)
-            cls = rng.choice([LinEq, LinLe, LinNe])
-            c = cls(
-                tuple(LinTerm(rng.choice([-2, -1, 1, 2]), v) for v in vs),
-                rng.randint(-5, 5),
-            )
             d = random_domain(rng, nvars, lo=-4, hi=4, max_size=4)
+            if kind == "linear":
+                cls = rng.choice([LinEq, LinLe, LinNe])
+                c = cls(
+                    tuple(LinTerm(rng.choice([-2, -1, 1, 2]), v) for v in vs),
+                    rng.randint(-5, 5),
+                )
+            elif kind == "alldiff":
+                c = AllDifferent(tuple(vs))
+            elif kind == "product":
+                c = ProductLe(*vs)
+            else:
+                c = MonoBij(vs[0], random_monofunc(rng), vs[1])
+                if c.func.nonneg and d.inf(vs[1]) < 0:
+                    continue  # a model rejects g restricted to x >= 0 here
             rep = is_monotonic(c, d)
             for v, verdict in rep.verdicts.items():
                 if verdict in (LT, GT):
-                    assert refute_monotone(c, d, v, verdict) is None
+                    assert refute_monotone(c, d, v, verdict) is None, (c, d, v)
+                    survived[kind] += 1
+
+    def test_refuter_answers_over_boxes_far_apart(self):
+        # x1's box holds about 1.7 * 10**12 grid points, x2's holds 3
+        x1, x2 = make_vars(2)
+        c = AllDifferent((x1, x2))
+        d = Domain((
+            IntSet.of([-384854651193, 475911785294]),
+            IntSet.of([51410390567, 51410390568]),
+        ))
+        rep = is_monotonic(c, d)
+        assert rep.verdicts == {x1: NONE, x2: NONE}
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_a_cap_below_one_samples_nothing(self, cap):
+        x1, x2 = make_vars(2)
+        c = AllDifferent((x1, x2))
+        assert refute_monotone(c, box((0, 3), (0, 3)), x1, LT, cap=cap) is None
 
     def test_refuter_keeps_to_its_cap(self, monkeypatch):
         import fdlab.reductions

@@ -220,6 +220,25 @@ def test_node_budget_truncates():
     assert not stats.complete
 
 
+def two_distinct():
+    vs = make_vars(2)
+    return Model.build(
+        [(v.name, IntSet.interval(1, 2)) for v in vs],
+        [(AllDifferent(tuple(vs)), N.BOUNDS_Z)],
+    )
+
+
+@pytest.mark.parametrize("kw", [dict(limit=0), dict(limit=-1), dict(node_budget=-3)])
+def test_caps_out_of_range_are_refused(kw):
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        solve(two_distinct(), **kw)
+
+
+def test_a_zero_node_budget_searches_nothing():
+    solutions, stats = solve(two_distinct(), node_budget=0)
+    assert solutions == [] and stats.nodes == 0 and not stats.complete
+
+
 def test_stats_failures_count_dead_ends():
     x = make_vars(1)[0]
     m = Model.build(
