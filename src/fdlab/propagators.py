@@ -10,6 +10,13 @@ values need support and where supports are searched come from the notion
 table in `checkers`.  Deletion order does not affect the result; the test
 suite certifies this against an exhaustive deletion-order oracle.
 
+Three rules come first, each exact at every notion.  Once every variable
+but var is a point, every notion seeks var=value's support at that point,
+so `holds` decides it: a scope of points is one `holds`, and one free
+variable is revised alone (in closed form where there is one).  `!=` with
+two free variables is kept: each value meets two sums, one per candidate
+of another free term.  bounds(R) without real semantics raises first.
+
 Some cases are revised in closed form, with no support query per value:
 `checkers.closed_form`, asked once per call, lists them and gives a reader
 of the supported values as a union of windows, which the domain notion
@@ -40,7 +47,7 @@ from .checkers import (
     candidates,
     closed_form,
 )
-from .constraints import Constraint, LinEq, LinLe, LinNe
+from .constraints import Constraint, LinEq, LinLe, LinNe, RealSemanticsUndefined
 from .domains import Domain, IntSet, VarId
 
 
@@ -80,19 +87,37 @@ def propagate(
 ) -> PropagationResult:
     """Greatest subdomain of d consistent with c at `notion`, or failure.
 
-    Variables are revised round-robin until every one has been revised
-    since the last narrowing.  bounds(R) on a constraint without real
-    semantics raises RealSemanticsUndefined.
+    Past the rules of the module doc, variables are revised round-robin
+    until every one has been revised since the last narrowing.  bounds(R)
+    on a constraint without real semantics raises RealSemanticsUndefined.
     """
-    before = d
-    cvars = c.scope
+    cands = candidates(d, notion)
+    if cands is None and not c.real:
+        raise RealSemanticsUndefined(
+            f"{type(c).__name__} has no real semantics; bounds(R) undefined"
+        )
+    before, cvars, point, free = d, c.scope, None, None
+    for v in cvars:  # stops at the second free variable
+        if not d.sets[v.index].is_singleton:
+            if free is not None:
+                break
+            free = v
+    else:
+        point = [d.inf(v) for v in cvars]
+        if free is None:
+            return PropagationResult(d if c.holds(tuple(point)) else None, ())
+        cvars = (free,)
+    if point is None and isinstance(c, LinNe):
+        return PropagationResult(d, ())
     form = closed_form(c, notion)
     hull = SumHull(d, c) if form is _linear_windows else None
-    cands = candidates(d, notion)
 
     # Reads var, d and cands as they stand.  Not checkers.support: both
     # searches are looked up here at call time, so profilers can wrap them.
     def supported(value: int) -> bool:
+        if point is not None:  # var is the one free variable
+            point[c.scope.index(var)] = value
+            return c.holds(tuple(point))
         if cands is None:
             return _real_support(d, c, var, value)[0]
         return _find_int_support(c, var, value, cands) is not None

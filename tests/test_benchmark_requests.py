@@ -20,3 +20,17 @@ def test_first_requests_of_each_workload_verify(name):
     items = workload.prepare(workload.generate(1)[:3])
     for index, item in enumerate(items):
         assert workload.verify(index, item, workload.request(item))
+
+
+def test_search_on_the_first_solve_csp_inputs_is_pinned():
+    """The summed search counts of the first 100 seed-1 solve-csp inputs.
+    A propagator shortcut must leave nodes, failures, pruned values and
+    solutions as they are; a benchmark change that alters the generator
+    re-pins these numbers."""
+    workload = workloads.WORKLOADS["solve-csp"]()
+    totals = [0, 0, 0, 0]
+    for item in workload.prepare(workload.generate(1)[:100]):
+        _, stats = workload.request(item)
+        for i, n in enumerate((stats.nodes, stats.failures, stats.pruned, stats.solutions)):
+            totals[i] += n
+    assert totals == [768, 25, 999, 409]

@@ -271,6 +271,25 @@ def test_bench_notion_filter(tmp_path, capsys):
     assert [l.split(",")[1] for l in lines] == ["bounds-z", "bounds-r"]
 
 
+def test_bench_limit_below_one_is_a_usage_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "m.model").write_text(corpus_model(0))
+    code, _, err = run(capsys, "bench", str(corpus), "--limit", "0")
+    assert code == 2
+    assert err == "error: limit must be at least 1, not 0\n"
+
+
+def test_bench_skips_a_notion_the_model_does_not_allow(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "m.model").write_text("var x in [0,2]\nconstraint c1: table x : (1) @ domain\n")
+    code, out, err = run(capsys, "bench", str(corpus))
+    assert code == 0
+    assert [l.split(",")[1] for l in out.splitlines()[1:]] == ["domain", "bounds-d", "bounds-z"]
+    assert err.startswith("skip m.model @ bounds-r: ")
+
+
 def test_parse_errors_exit_two(tmp_path, capsys):
     p = tmp_path / "broken.model"
     p.write_text("var x in [5,1]\n")

@@ -24,6 +24,7 @@ from fdlab import (
     Mod,
     MonoBij,
     ProductLe,
+    PropagationResult,
     RealSemanticsUndefined,
     ReifLinLe,
     Table,
@@ -203,6 +204,38 @@ def test_real_propagation_rejects_integer_only_constraints():
     d = dom3([0, 1], [0, 1], [1, 2])
     with pytest.raises(RealSemanticsUndefined):
         propagate(d, Mod(X1, X2, X3), ConsistencyNotion.BOUNDS_R)
+
+
+def test_points_and_one_free_variable_propagate_as_the_oracle_does():
+    # every variable but at most one is a point, so `holds` decides the run
+    rng = fresh_rng(24)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        vs = make_vars(n)
+        c = random_int_constraint(rng, vs)
+        free = rng.randrange(n + 1)  # n: every variable is a point
+        d = Domain(tuple(
+            s if i == free else IntSet((rng.choice(s.values),))
+            for i, s in enumerate(random_domain(rng, n).sets)
+        ))
+        for notion in NOTIONS:
+            if notion is ConsistencyNotion.BOUNDS_R and not real_defined(c):
+                with pytest.raises(RealSemanticsUndefined):
+                    propagate(d, c, notion)
+                continue
+            want = oracle_fixpoint(d, c, notion)
+            assert propagate(d, c, notion) == PropagationResult.between(d, want, vs)
+
+
+def test_rules_before_the_revise_loop_keep_errors_and_the_input():
+    x, y, z = make_vars(3)
+    points = dom3([1], [0], [2])
+    for c in Table((x, y, z), ((1, 0, 2),)), Mod(x, y, z), ReifLinLe(x, (LinTerm(1, y),), 0):
+        with pytest.raises(RealSemanticsUndefined):
+            propagate(points, c, ConsistencyNotion.BOUNDS_R)
+    d = dom3([1], [0, 3], [-1, 2])
+    for notion in NOTIONS:
+        assert propagate(d, LinNe((LinTerm(1, y), LinTerm(1, z)), 2), notion).domain is d
 
 
 def test_disequality_trims_only_a_fully_determined_endpoint():
