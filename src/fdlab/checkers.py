@@ -47,14 +47,17 @@ backtrack, as bounds(Z) checking of a linear equation is NP-hard: an
 equation goes to meet in the middle (exponential in half the variables)
 unless the gcd of the coefficients does not divide the remainder, and
 where its tables would be large the walk goes first, for a bounded time,
-so that an early support over wide ranges costs no table.  Every linear
-support, integer or real, reads the remainder left once var=value is
-pinned (`_pinned_linear`) and the least and greatest sum of each suffix of
-the other terms (`_hull`).  The real one at `=` is the walk over the
-boxes, with exact division where the integer one rounds, which never
-backtracks.  All support arithmetic is exact Python ints and Fractions:
-values are checked to fit 64 bits where they enter (see `domains`), and no
-intermediate sum or product is bounded.
+so that an early support over wide ranges costs no table.  The queries of
+one `check` share one table per side, kept under the candidates and
+coefficients it is a pure function of, so no witness changes: every pin
+left of the split meets the same right table, and every pin right of it
+the same left list.  Every linear support, integer or real, reads the
+other terms once var is pinned (`_pinned_linear`) and the least and
+greatest sum of each suffix of them (`_hull`).  The real one at `=` is the
+walk over the boxes, with exact division where the integer one rounds,
+which never backtracks.  All support arithmetic is exact Python ints and
+Fractions: values are checked to fit 64 bits where they enter (see
+`domains`), and no intermediate sum or product is bounded.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import mul
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .constraints import (
     AllDifferent,
@@ -125,6 +128,17 @@ _TABLE_CAP = 1 << 18  # most sums a meet-in-the-middle table or list holds
 _EAGER_COST = 1 << 16  # meet in the middle of at most this cost runs without a walk
 
 
+def _shared(tables: dict | None, slot: str, build: Callable, *key: object):
+    """build(*key), kept in tables[slot] (one `check` call's) until asked with
+    another key; a builder is a pure function of its key, so no answer changes."""
+    if tables is None:
+        return build(*key)
+    if tables.get(slot, (None,))[0] != key:
+        tables[slot] = None  # the old value goes before the new one is built
+        tables[slot] = key, build(*key)
+    return tables[slot][1]
+
+
 class _OutOfBudget(Exception):
     """A walk of `_lex_walk` tried as many values as it was allowed."""
 
@@ -157,19 +171,19 @@ def _le_window(vs: Sequence[int], a: int, bound: int) -> range:
 
 
 def _pinned_linear(
-    c: Constraint, pin: VarId, value: int
-) -> tuple[list[VarId], list[int], int]:
-    """The other variables of the sum in c (linear or reified linear), their
-    coefficients, and the remainder their sum is compared with once
-    pin=value."""
-    others, coeffs, rest = [], [], c.rhs
+    c: Constraint, pin: VarId, candidates: CandidateFn
+) -> tuple[list[Sequence[int]], list[int], int]:
+    """The other variables' candidates in the sum of c (linear or reified
+    linear), their coefficients, and pin's coefficient a (0 if pin is not in
+    it): once pin=value, their sum is compared with c.rhs - a*value."""
+    free_vals, coeffs, a = [], [], 0
     for t in c.terms:
         if t.var == pin:
-            rest -= t.coeff * value
+            a = t.coeff
         else:
-            others.append(t.var)
+            free_vals.append(candidates(t.var))
             coeffs.append(t.coeff)
-    return others, coeffs, rest
+    return free_vals, coeffs, a
 
 
 def _hull(ends: Sequence[Sequence[int]], coeffs: list[int]) -> list[tuple[int, int]]:
@@ -243,8 +257,15 @@ def _lex_walk(
     return None
 
 
+def _first_ranks(free_vals: list[Sequence[int]], coeffs: list[int]) -> dict[int, int]:
+    """Each sum of `_lex_sums`, with the rank of its lex-first assignment."""
+    sums = _lex_sums(free_vals, coeffs)
+    # inserted last to first, so each sum keeps its lex-first rank
+    return dict(zip(reversed(sums), range(len(sums) - 1, -1, -1)))
+
+
 def _meet_in_the_middle(
-    free_vals: list[Sequence[int]], coeffs: list[int], target: int
+    free_vals: list[Sequence[int]], coeffs: list[int], target: int, tables: dict | None
 ) -> tuple[int, ...] | None:
     # Horowitz & Sahni, JACM 21(2), 1974.  The left variables are walked in
     # lex order, the first one lazily and the others from a list of their
@@ -278,10 +299,8 @@ def _meet_in_the_middle(
         except _OutOfBudget:
             pass
     left, right = free_vals[1:m], free_vals[m:]
-    sums = _lex_sums(right, coeffs[m:])
-    # inserted last to first, so each sum keeps its lex-first rank
-    first = dict(zip(reversed(sums), range(len(sums) - 1, -1, -1)))
-    inner = _lex_sums(left, coeffs[1:m])
+    first = _shared(tables, "right", _first_ranks, tuple(right), tuple(coeffs[m:]))
+    inner = _shared(tables, "left", _lex_sums, tuple(left), tuple(coeffs[1:m]))
     for v in free_vals[0]:
         r = target - coeffs[0] * v
         for i, s in enumerate(inner):
@@ -292,11 +311,11 @@ def _meet_in_the_middle(
 
 
 def _scan_linear_py(
-    free_vals: list[Sequence[int]], coeffs: list[int], target: int, op: str
+    free_vals: list[Sequence[int]], coeffs: list[int], target: int, op: str, tables=None
 ) -> tuple[int, ...] | None:
     """Lex-ascending first assignment with sum(coeff*value) `op` target."""
     if op == "eq":
-        return _meet_in_the_middle(free_vals, coeffs, target)
+        return _meet_in_the_middle(free_vals, coeffs, target, tables)
     if op == "le":
         return _lex_walk(free_vals, coeffs, target, "le")
     least = tuple(vs[0] for vs in free_vals)  # the lex-first assignment of all
@@ -314,13 +333,14 @@ CandidateFn = Callable[[VarId], Sequence[int]]
 
 
 def _find_int_support(
-    c: Constraint, pin: VarId, value: int, candidates: CandidateFn
+    c: Constraint, pin: VarId, value: int, candidates: CandidateFn, tables=None
 ) -> tuple[int, ...] | None:
     """Lex-first integral support of pin=value over the other variables, as
     the values of vars_of(c) in order (pin's in its place), or None."""
     if isinstance(c, (LinEq, LinLe, LinNe, ReifLinLe)):
-        free, coeffs, rest = _pinned_linear(c, pin, value)
-        free_vals = [candidates(v) for v in free]
+        # shared by the values of one pin; read only
+        free_vals, coeffs, own = _shared(tables, "pin", _pinned_linear, c, pin, candidates)
+        rest = c.rhs - own * value
         if isinstance(c, ReifLinLe):  # b first: b = 0 where sum > rest, then b = 1
             bs = (value,) if pin == c.b else candidates(c.b)
             for b, signed, target in (0, [-a for a in coeffs], -rest - 1), (1, coeffs, rest):
@@ -329,7 +349,7 @@ def _find_int_support(
                     chosen = chosen if pin == c.b else (b,) + chosen
                     break
         else:
-            chosen = _scan_linear_py(free_vals, coeffs, rest, c.op)
+            chosen = _scan_linear_py(free_vals, coeffs, rest, c.op, tables)
         if chosen is None:
             return None
         i = c.scope.index(pin)
@@ -401,8 +421,8 @@ RealSupport = tuple[bool, tuple[int | Fraction, ...] | None]
 def _real_support_eq(d: Domain, c: LinEq, pin: VarId, value: int) -> RealSupport:
     # The integer walk over the real boxes: each variable takes the least
     # value its window allows, dividing exactly where the integer one rounds.
-    others, coeffs, rest = _pinned_linear(c, pin, value)
-    boxes = [(d.inf(v), d.sup(v)) for v in others]
+    boxes, coeffs, own = _pinned_linear(c, pin, lambda v: (d.inf(v), d.sup(v)))
+    rest = c.rhs - own * value
     hull = _hull(boxes, coeffs)
     if not hull[0][0] <= rest <= hull[0][1]:
         return False, None
@@ -611,23 +631,33 @@ def support(
     """Support verdict for var=value at `notion`; never reads var's own set."""
     if var not in c.scope:
         raise ValueError(f"{var.name} is not a variable of the {type(c).__name__}")
-    cands = candidates(d, notion)
-    if cands is None:
-        supported, t = _real_support(d, c, var, value)
-    else:
-        t = _find_int_support(c, var, value, cands)
-        supported = t is not None
-    witness = None if t is None else Valuation(dict(zip(c.scope, t)))
-    return SupportWitness(var, value, supported, witness)
+    return next(_verdicts(d, c, candidates(d, notion), [(var, value)], None))
+
+
+def _verdicts(
+    d: Domain, c: Constraint, cands: CandidateFn | None, pins: list, tables: dict | None
+) -> Iterator[SupportWitness]:
+    """The support verdict of each (var, value) in pins; witnesses with the
+    same values share one Valuation, which is immutable."""
+    valuations: dict[tuple | None, Valuation | None] = {None: None}
+    for var, value in pins:
+        if cands is None:
+            supported, t = _real_support(d, c, var, value)
+        else:
+            t = _find_int_support(c, var, value, cands, tables)
+            supported = t is not None
+        if t not in valuations:
+            valuations[t] = Valuation(dict(zip(c.scope, t)))
+        yield SupportWitness(var, value, supported, valuations[t])
 
 
 def check(d: Domain, c: Constraint, notion: ConsistencyNotion) -> CheckResult:
     """Every value that `notion` names has a support where `notion` searches."""
-    witnesses = tuple(
-        support(d, c, notion, var, value)
-        for var in c.scope
-        for value in needs_support(d.get(var), notion)
-    )
+    cands = candidates(d, notion)
+    if cands is not None:  # each variable's candidates, built once
+        cands = {v: cands(v) for v in c.scope}.__getitem__
+    pins = [(v, value) for v in c.scope for value in needs_support(d.get(v), notion)]
+    witnesses = tuple(_verdicts(d, c, cands, pins, tables={}))
     return CheckResult(all(w.supported for w in witnesses), witnesses)
 
 

@@ -130,9 +130,9 @@ def _pinned_range(
     c: LinEq | LinNe, d: Domain, t: LinTerm
 ) -> tuple[Fraction, Fraction]:
     """The real values of t.var at which the other terms' boxes can reach rhs."""
-    others, coeffs, rest = _pinned_linear(c, t.var, 0)
-    smin, smax = _hull([(d.inf(v), d.sup(v)) for v in others], coeffs)[0]
-    lo, hi = Fraction(rest - smax, t.coeff), Fraction(rest - smin, t.coeff)
+    boxes, coeffs, _ = _pinned_linear(c, t.var, lambda v: (d.inf(v), d.sup(v)))
+    smin, smax = _hull(boxes, coeffs)[0]
+    lo, hi = Fraction(c.rhs - smax, t.coeff), Fraction(c.rhs - smin, t.coeff)
     return (lo, hi) if t.coeff > 0 else (hi, lo)
 
 

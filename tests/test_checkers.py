@@ -2,6 +2,7 @@
 range-domain correspondences, and agreement with the naive oracle."""
 
 import itertools
+import math
 import operator
 
 import pytest
@@ -448,3 +449,52 @@ def test_singleton_bounds_checked_once():
     res = check_bounds_z(d, LinEq((LinTerm(1, x),), 4))
     assert res.consistent
     assert len(res.witnesses) == 1
+
+
+def test_check_witnesses_equal_fresh_supports_and_brute_force(monkeypatch):
+    # A check's queries share their equation tables, one per side, kept under
+    # the part's candidates and coefficients.  Two sets and two coefficients
+    # per equation make different groups of variables meet the same key.
+    # Every fourth equation lets the walk go first, even on small tables.
+    rng = fresh_rng(17)
+    for i in range(150):
+        eager = rng.choice([0, 4]) if i % 4 == 0 else 1 << 16
+        monkeypatch.setattr(checkers, "_EAGER_COST", eager)
+        n = rng.randint(3, 7)
+        vs = make_vars(n)
+        sets = [random_set(rng, -3, 3, max_size=rng.randint(1, 4)) for _ in range(2)]
+        d = Domain(tuple(rng.choice(sets) for _ in vs))
+        coeffs = rng.sample([-3, -2, -1, 1, 2, 3], 2)
+        c = LinEq(tuple(LinTerm(rng.choice(coeffs), v) for v in vs), rng.randint(-6, 6))
+        small = math.prod(s.sup - s.inf + 1 for s in d.sets) <= 2000
+        for notion in NOTIONS[:3]:
+            for w in check(d, c, notion).witnesses:
+                assert w == checkers.support(d, c, notion, w.var, w.value), (c, d, notion)
+                if small:
+                    want = _lex_first_support(d, c, notion, w.var, w.value)
+                    assert w.witness == want, (c, d, notion, w.var, w.value)
+
+
+def test_check_walks_first_before_tables_are_shared(monkeypatch):
+    # Pinning x1 or x2 leaves free sizes (2, 256, 257), whose split costs
+    # 2 + 256*257 > _EAGER_COST: the walk goes first with a budget.  Pinning
+    # x3 or x4 then builds tables, which the pin's second value shares.
+    budgets = []
+    walk = checkers._lex_walk
+
+    def counted(*args):
+        budgets.append(args[4] if len(args) > 4 else None)
+        return walk(*args)
+
+    monkeypatch.setattr(checkers, "_lex_walk", counted)
+    d = Domain((IntSet.interval(0, 1), IntSet.interval(0, 1),
+                IntSet.interval(0, 255), IntSet.interval(0, 256)))
+    x = make_vars(4)
+    for rhs in (0, 1000, 1001, 1789):
+        terms = (LinTerm(5, x[0]), LinTerm(-3, x[1]), LinTerm(7, x[2]), LinTerm(4, x[3]))
+        c = LinEq(terms, rhs)
+        for notion in NOTIONS[:3]:
+            budgets.clear()
+            for w in check(d, c, notion).witnesses:
+                assert w == checkers.support(d, c, notion, w.var, w.value), (rhs, notion, w)
+            assert budgets[0] == (2 + 256 * 257) // 32
