@@ -264,6 +264,21 @@ def _first_ranks(free_vals: list[Sequence[int]], coeffs: list[int]) -> dict[int,
     return dict(zip(reversed(sums), range(len(sums) - 1, -1, -1)))
 
 
+def _split(free_vals: tuple[Sequence[int], ...]) -> tuple[int | None, float]:
+    """(k, cost) of the split `_meet_in_the_middle` picks, or (None, inf)
+    when none fits; it depends on the candidates' sizes alone."""
+    n = len(free_vals)
+    # count[k]: number of assignments of the first k variables
+    count = list(itertools.accumulate(map(_size, free_vals), mul, initial=1))
+    m, cost = None, math.inf
+    for k in range(1, n - 1):
+        walk, table = count[k], count[n] // count[k]
+        fits = table <= _TABLE_CAP and walk // count[1] <= _TABLE_CAP
+        if fits and walk + table < cost:
+            m, cost = k, walk + table
+    return m, cost
+
+
 def _meet_in_the_middle(
     free_vals: list[Sequence[int]], coeffs: list[int], target: int, tables: dict | None
 ) -> tuple[int, ...] | None:
@@ -285,14 +300,7 @@ def _meet_in_the_middle(
         return None
     if n < 3:  # no split leaves two variables on the right
         return _lex_walk(free_vals, coeffs, target, "eq")
-    # count[k]: number of assignments of the first k variables
-    count = list(itertools.accumulate(map(_size, free_vals), mul, initial=1))
-    m, cost = None, math.inf
-    for k in range(1, n - 1):
-        walk, table = count[k], count[n] // count[k]
-        fits = table <= _TABLE_CAP and walk // count[1] <= _TABLE_CAP
-        if fits and walk + table < cost:
-            m, cost = k, walk + table
+    m, cost = _shared(tables, "split", _split, tuple(free_vals))
     if cost > _EAGER_COST:
         try:
             return _lex_walk(free_vals, coeffs, target, "eq", cost // 32)

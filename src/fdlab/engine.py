@@ -13,7 +13,9 @@ its variables, and only those whose notion searches supports in the
 actual sets (`checkers.sees_holes`: domain, bounds(D)) also react to
 holes.  Filtering is lossless and the fixpoint is queue-order independent;
 both facts are exercised by tests via the `filter_events` and
-`queue_policy` knobs.  A failed fixpoint prunes nothing.
+`queue_policy` knobs.  The returned `pruned` compares only the variables
+that some run narrowed, so a call costs what changed, not the model's
+size; the others keep their sets.  A failed fixpoint prunes nothing.
 """
 
 from __future__ import annotations
@@ -169,7 +171,7 @@ def _run(
         raise ValueError(f"queue_policy must be 'fifo' or 'lifo', not {queue_policy!r}")
     take = pending.pop if queue_policy == "lifo" else pending.popleft
     queued = set(pending)
-    start = d
+    start, touched = d, set()
     records: list[TraceRecord] = []
 
     while pending:
@@ -180,6 +182,7 @@ def _run(
         if res.failed:
             return res, records
         if res.pruned:
+            touched.update(v for v, _ in res.pruned)
             events = _events(d, c.scope, res)
             if record:
                 records.append(TraceRecord(m.labels[i], tuple(events), res.domain))
@@ -192,7 +195,7 @@ def _run(
                         pending.append(j)
                         queued.add(j)
         d = res.domain
-    return PropagationResult.between(start, d, m.vars), records
+    return PropagationResult.between(start, d, touched), records
 
 
 def propagate_all(

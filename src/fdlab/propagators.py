@@ -8,7 +8,10 @@ notions trim unsupported values from both ends (which keeps interior holes
 intact, so bounds results are range-shaped prunings of the input).  Which
 values need support and where supports are searched come from the notion
 table in `checkers`.  Deletion order does not affect the result; the test
-suite certifies this against an exhaustive deletion-order oracle.
+suite certifies this against an exhaustive deletion-order oracle.  The
+values a result lost are the slices before and after the run of old values
+it kept; only a `domain` revise that opens new holes is compared value by
+value.
 
 Three rules come first, each exact at every notion.  Once every variable
 but var is a point, every notion seeks var=value's support at that point,
@@ -33,6 +36,7 @@ algorithm, and is kept as an independent reference for it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -70,15 +74,24 @@ class PropagationResult:
         cls, before: Domain, after: Domain | None, vars_: Iterable[VarId]
     ) -> "PropagationResult":
         """`after`, with the values of `vars_` it lost from `before`; each
-        set of `after` is a subset of the one in `before`."""
+        set of `after` is a subset of the one in `before`.
+
+        A set that is one run of the old values (every bounds result is)
+        loses the two slices around that run; only a set with new holes
+        is compared value by value."""
         if after is None or after is before:
             return cls(after, ())
         pruned = []
         for v in sorted(set(vars_)):
-            old, new = before.get(v), after.get(v)
-            if new.size < old.size:
-                kept = set(new.values)
-                pruned.append((v, tuple(x for x in old.values if x not in kept)))
+            old, new = before.get(v).values, after.get(v).values
+            if len(new) < len(old):
+                i = bisect_left(old, new[0])
+                j = i + len(new)
+                if old[j - 1] == new[-1]:  # new is old[i:j]
+                    pruned.append((v, old[:i] + old[j:]))
+                else:
+                    kept = set(new)
+                    pruned.append((v, tuple(x for x in old if x not in kept)))
         return cls(after, tuple(pruned))
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fdlab import checkers, check
+from fdlab import check, checkers, parse_model, propagate_all, trace
 from fdlab.checkers import ConsistencyNotion
 
 _PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -38,6 +38,50 @@ def test_search_on_the_first_solve_csp_inputs_is_pinned():
         for i, n in enumerate((stats.nodes, stats.failures, stats.pruned, stats.solutions)):
             totals[i] += n
     assert totals == [768, 25, 999, 409]
+
+
+def _pruned_digest(results) -> str:
+    digest = hashlib.sha256()
+    for r in results:
+        digest.update(repr(r).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("queue_policy", ["fifo", "lifo"])
+def test_pruned_of_the_first_wide_fixpoint_inputs_is_pinned(queue_policy):
+    """A digest of `repr((res.pruned, res.domain))` of `propagate_all` on
+    the first 40 seed-1 wide-fixpoint models, taken at the commit before
+    `pruned` was read off the kept slices: the values lost, their order and
+    the fixpoint must stay byte for byte as the set-difference walk gave
+    them.  Both queue orders reach the same fixpoint, so one digest."""
+    workload = workloads.WORKLOADS["wide-fixpoint"]()
+    results = []
+    for _, model in workload.prepare(workload.generate(1)[:40]):
+        res = propagate_all(model, queue_policy=queue_policy)
+        results.append((res.pruned, res.domain))
+    assert _pruned_digest(results) == (
+        "3e2ec487ffa60ed4b2fafeff1fd7584fd9e0529b19f85c9fbb35c33a21641e64"
+    )
+
+
+def test_pruned_and_trace_of_the_first_solve_csp_inputs_are_pinned():
+    """Digests of `propagate_all` and of `trace` (its result and every
+    record's events and domain) on the first 100 seed-1 solve-csp models,
+    taken at the commit before `pruned` was read off the kept slices."""
+    workload = workloads.WORKLOADS["solve-csp"]()
+    fixpoints, traces = [], []
+    for _, text in workload.prepare(workload.generate(1)[:100]):
+        model = parse_model(text)
+        res = propagate_all(model)
+        fixpoints.append((res.pruned, res.domain))
+        res, records = trace(model)
+        traces.append((res.pruned, res.domain, records))
+    assert _pruned_digest(fixpoints) == (
+        "554184de93b0feb51cc134316af46757f67f3361978ee1314b3e2ee5ad7db2c8"
+    )
+    assert _pruned_digest(traces) == (
+        "e20f407cfb9cdb5a6b6785e10cfa2180da9e6aeec3fd84a24f7b1cc2eb33d3b8"
+    )
 
 
 def test_check_on_the_first_subsetsum_inputs_is_pinned():

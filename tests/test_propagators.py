@@ -143,6 +143,51 @@ def test_pruned_values_account_for_the_difference():
             assert pruned.get(v, ()) == gone
 
 
+def test_between_equals_the_set_difference():
+    """`between` reads the lost values off the kept run where the new set is
+    one; every answer must equal the value-by-value set difference."""
+    rng = fresh_rng(25)
+    vs = make_vars(3)
+    shapes = dict.fromkeys(("prefix", "suffix", "middle", "holes", "singleton", "equal"), 0)
+    for _ in range(3000):
+        olds, news = [], []
+        for _ in vs:
+            old = sorted(rng.sample(range(-40, 40), rng.randint(1, 12)))
+            shape = rng.choice(("run", "run", "holes", "singleton", "equal"))
+            if shape == "run":
+                i = rng.randrange(len(old))
+                new = old[i : rng.randint(i + 1, len(old))]
+            elif shape == "holes":
+                new = sorted(rng.sample(old, rng.randint(1, len(old))))
+            elif shape == "singleton":
+                new = [rng.choice(old)]
+            else:
+                new = old
+            i = old.index(new[0])
+            if new == old:
+                shapes["equal"] += 1
+            elif len(new) == 1:
+                shapes["singleton"] += 1
+            elif new != old[i : i + len(new)]:
+                shapes["holes"] += 1
+            else:
+                shapes["prefix" if i == 0 else "middle" if new[-1] != old[-1] else "suffix"] += 1
+            olds.append(IntSet(tuple(old)))
+            news.append(IntSet(tuple(new)))
+        before, after = Domain(tuple(olds)), Domain(tuple(news))
+        asked = rng.choices(vs, k=rng.randint(0, 4))
+        want = []
+        for v in sorted(set(asked)):
+            kept = set(after.get(v).values)
+            gone = tuple(x for x in before.get(v).values if x not in kept)
+            if gone:
+                want.append((v, gone))
+        assert PropagationResult.between(before, after, asked) == (
+            PropagationResult(after, tuple(want))
+        )
+    assert min(shapes.values()) > 300, shapes
+
+
 def test_failure_reported_as_failed_result():
     d = Domain((IntSet.of([1, 2]),))
     x = make_vars(1)[0]

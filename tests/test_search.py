@@ -4,12 +4,14 @@ node-count ordering across notions, and budget truncation."""
 import pytest
 
 from conftest import fresh_rng, make_vars, random_domain, random_int_constraint
+from fdlab import search
 from fdlab import (
     AllDifferent,
     BranchStrategy,
     Domain,
     IntSet,
     LinEq,
+    LinLe,
     LinTerm,
     SearchStats,
     Valuation,
@@ -247,3 +249,45 @@ def test_stats_failures_count_dead_ends():
     )
     solutions, stats = solve(m)
     assert solutions == [] and stats.failures == 1 and stats.complete
+
+
+def _chain(n):
+    # x{i} + x{i+1} >= 2 over [0,2]: the first solution alternates 0 and 2,
+    # one node per pair, and each child narrows only its split neighbour.
+    xs = make_vars(n)
+    return Model.build(
+        [(x.name, IntSet.interval(0, 2)) for x in xs],
+        [
+            (LinLe((LinTerm(-1, a), LinTerm(-1, b)), -2), N.BOUNDS_Z)
+            for a, b in zip(xs, xs[1:])
+        ],
+    )
+
+
+def test_a_search_node_costs_what_changed_not_the_model_size(monkeypatch):
+    """`Domain.get` calls per child node of a first-solution search on a
+    chain are the same at n=250 and n=1000: the engine reads only the
+    variables its runs narrowed, not all n (the root runs every
+    propagator and is left out)."""
+    get, node = Domain.get, search.propagate_all
+    calls, per_node = [0], []
+
+    def counted_get(self, var):
+        calls[0] += 1
+        return get(self, var)
+
+    def counted_node(*args, **kwargs):
+        before = calls[0]
+        res = node(*args, **kwargs)
+        per_node.append(calls[0] - before)
+        return res
+
+    monkeypatch.setattr(Domain, "get", counted_get)
+    monkeypatch.setattr(search, "propagate_all", counted_node)
+    seen = []
+    for n in (250, 1000):
+        per_node.clear()
+        solutions, stats = solve(_chain(n), limit=1)
+        assert len(solutions) == 1 and stats.nodes == len(per_node) == n // 2 + 1
+        seen.append(sorted(set(per_node[1:])))
+    assert seen[0] == seen[1], seen
