@@ -368,11 +368,6 @@ def _require_exact_vars(c: Constraint, theta: Valuation) -> None:
         raise ValueError("valuation must bind exactly the constraint's variables")
 
 
-def holds(c: Constraint, vals: tuple[int, ...]) -> bool:
-    """Integer satisfaction of c by vals, the values of vars_of(c) in order."""
-    return c.holds(vals)
-
-
 def sat_int(c: Constraint, theta: Valuation) -> bool:
     """Integer satisfaction; theta must be integral and bind exactly vars_of(c)."""
     _require_exact_vars(c, theta)

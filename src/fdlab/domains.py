@@ -68,7 +68,7 @@ class IntSet:
     def interval(cls, lo: int, hi: int) -> "IntSet":
         if lo > hi:
             raise ValueError(f"empty interval [{lo},{hi}]")
-        return cls(tuple(range(lo, hi + 1)))
+        return cls(tuple(range(checked_int64(lo), checked_int64(hi) + 1)))
 
     @property
     def inf(self) -> int:
@@ -114,10 +114,6 @@ class Domain:
     also takes a plain index."""
 
     sets: tuple[IntSet, ...]
-
-    @classmethod
-    def of(cls, sets: Iterable[IntSet]) -> "Domain":
-        return cls(tuple(sets))
 
     def __len__(self) -> int:
         return len(self.sets)

@@ -142,12 +142,7 @@ def _parse_func(text: str, line_no: int) -> MonoFunc:
     if m.group(4) == "powersum3":
         return PowerSum3()
     kind, p, q = m.group(1), int(m.group(2)), int(m.group(3))
-    try:
-        if kind == "affine":
-            return Affine(p, q)
-        return PowK(p, q)
-    except ValueError as e:
-        raise ParseError(str(e), line_no) from None
+    return Affine(p, q) if kind == "affine" else PowK(p, q)
 
 
 def _parse_constraint(
@@ -214,52 +209,58 @@ def _parse_constraint(
 
 
 def parse_model(text: str) -> Model:
+    """The model in `text`.  Every error, a 64-bit overflow or a repeated
+    variable included, is a ParseError with the line it was found on."""
     var_domains: list[tuple[str, IntSet]] = []
     vars_by_name: dict[str, VarId] = {}
     constraints: list[tuple[Constraint, ConsistencyNotion]] = []
     labels: list[str] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("var "):
-            m = _VAR_RE.match(line)
-            if not m:
-                raise ParseError(f"bad variable declaration {line!r}", line_no)
-            name = m.group(1)
-            if name in vars_by_name:
-                raise ParseError(f"duplicate variable {name!r}", line_no)
-            s = _parse_set(m.group(2), line_no)
-            vars_by_name[name] = VarId(len(var_domains), name)
-            var_domains.append((name, s))
-        elif line.startswith("constraint "):
-            m = _CON_RE.match(line)
-            if not m:
-                raise ParseError(f"bad constraint declaration {line!r}", line_no)
-            label = m.group(1)
-            if label in labels:
-                raise ParseError(f"duplicate constraint label {label!r}", line_no)
-            body = m.group(2).strip()
-            head, sep, tag = body.rpartition(" @ ")
-            if sep:
-                tag = tag.strip()
-                if tag not in _NOTIONS:
-                    raise ParseError(f"unknown notion {tag!r}", line_no)
-                notion = _NOTIONS[tag]
-                body = head.strip()
-            else:
-                notion = ConsistencyNotion.DOMAIN
-            c = _parse_constraint(body, vars_by_name, line_no)
-            constraints.append((c, notion))
-            labels.append(label)
-        else:
-            raise ParseError(f"expected 'var' or 'constraint', got {line!r}", line_no)
-    if not var_domains:
-        raise ParseError("model declares no variables", len(text.splitlines()) or 1)
+    line_no = 1
     try:
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if line.startswith("var "):
+                m = _VAR_RE.match(line)
+                if not m:
+                    raise ParseError(f"bad variable declaration {line!r}", line_no)
+                name = m.group(1)
+                if name in vars_by_name:
+                    raise ParseError(f"duplicate variable {name!r}", line_no)
+                s = _parse_set(m.group(2), line_no)
+                vars_by_name[name] = VarId(len(var_domains), name)
+                var_domains.append((name, s))
+            elif line.startswith("constraint "):
+                m = _CON_RE.match(line)
+                if not m:
+                    raise ParseError(f"bad constraint declaration {line!r}", line_no)
+                label = m.group(1)
+                if label in labels:
+                    raise ParseError(f"duplicate constraint label {label!r}", line_no)
+                body = m.group(2).strip()
+                head, sep, tag = body.rpartition(" @ ")
+                if sep:
+                    tag = tag.strip()
+                    if tag not in _NOTIONS:
+                        raise ParseError(f"unknown notion {tag!r}", line_no)
+                    notion = _NOTIONS[tag]
+                    body = head.strip()
+                else:
+                    notion = ConsistencyNotion.DOMAIN
+                c = _parse_constraint(body, vars_by_name, line_no)
+                constraints.append((c, notion))
+                labels.append(label)
+            else:
+                raise ParseError(f"expected 'var' or 'constraint', got {line!r}", line_no)
+        # errors of the whole model are reported at its last line
+        if not var_domains:
+            raise ParseError("model declares no variables", line_no)
         return Model.build(var_domains, constraints, labels)
-    except ValueError as e:
-        raise ParseError(str(e), len(text.splitlines())) from None
+    except ParseError:
+        raise
+    except (ValueError, OverflowError) as e:
+        raise ParseError(str(e), line_no) from None
 
 
 def _print_set(s: IntSet) -> str:

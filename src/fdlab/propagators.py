@@ -13,12 +13,16 @@ values a result lost are the slices before and after the run of old values
 it kept; only a `domain` revise that opens new holes is compared value by
 value.
 
-Three rules come first, each exact at every notion.  Once every variable
-but var is a point, every notion seeks var=value's support at that point,
-so `holds` decides it: a scope of points is one `holds`, and one free
-variable is revised alone (in closed form where there is one).  `!=` with
-two free variables is kept: each value meets two sums, one per candidate
-of another free term.  bounds(R) without real semantics raises first.
+Points are never revised: any support of a free variable's value gives
+each point its one value, so it supports that value too.  Once every
+variable but var is a point, every notion seeks var=value's support at that
+point, so `holds` decides it.  The revise loop switches to this rule
+whenever one free variable is left, on entry or after a narrowing (a closed
+form is still read where there is one).  A run passes through one free
+variable before it could reach none, so two rules run on entry only: a
+scope of points is one `holds`, and `!=` with two free variables is kept,
+since each value meets two sums, one per candidate of another free term.
+bounds(R) without real semantics raises first.
 
 Some cases are revised in closed form, with no support query per value:
 `checkers.closed_form`, asked once per call, lists them and gives a reader
@@ -100,8 +104,9 @@ def propagate(
 ) -> PropagationResult:
     """Greatest subdomain of d consistent with c at `notion`, or failure.
 
-    Past the rules of the module doc, variables are revised round-robin
-    until every one has been revised since the last narrowing.  bounds(R)
+    Past the entry rules of the module doc, the free variables are revised
+    round-robin until every one has been revised since the last narrowing;
+    from the point where one is left, `holds` decides its values.  bounds(R)
     on a constraint without real semantics raises RealSemanticsUndefined.
     """
     cands = candidates(d, notion)
@@ -109,18 +114,10 @@ def propagate(
         raise RealSemanticsUndefined(
             f"{type(c).__name__} has no real semantics; bounds(R) undefined"
         )
-    before, cvars, point, free = d, c.scope, None, None
-    for v in cvars:  # stops at the second free variable
-        if not d.sets[v.index].is_singleton:
-            if free is not None:
-                break
-            free = v
-    else:
-        point = [d.inf(v) for v in cvars]
-        if free is None:
-            return PropagationResult(d if c.holds(tuple(point)) else None, ())
-        cvars = (free,)
-    if point is None and isinstance(c, LinNe):
+    free = [v for v in c.scope if not d.sets[v.index].is_singleton]
+    if not free:
+        return PropagationResult(d if c.holds(tuple(d.inf(v) for v in c.scope)) else None, ())
+    if len(free) > 1 and isinstance(c, LinNe):
         return PropagationResult(d, ())
     form = closed_form(c, notion)
     hull = SumHull(d, c) if form is _linear_windows else None
@@ -135,9 +132,13 @@ def propagate(
             return _real_support(d, c, var, value)[0]
         return _find_int_support(c, var, value, cands) is not None
 
+    # `free` drops each variable that becomes a point
+    before, point = d, None
     stable = i = 0
-    while stable < len(cvars):
-        var = cvars[i % len(cvars)]
+    while stable < len(free):
+        if len(free) == 1 and point is None:  # on entry or after a narrowing
+            point = [d.inf(v) for v in c.scope]
+        var = free[i % len(free)]
         i += 1
         values = d.get(var).values
         if form is not None:
@@ -165,7 +166,10 @@ def propagate(
         if hull is not None:
             hull.narrow(var, d.get(var))
         stable = 1
-    return PropagationResult.between(before, d, cvars)
+        if len(kept) == 1:  # a point now: every other free variable is due
+            free.remove(var)
+            stable = 0
+    return PropagationResult.between(before, d, c.scope)
 
 
 def _shave_bounds(

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import fdlab.propagators
 from fdlab import check, checkers, parse_model, propagate_all, trace
 from fdlab.checkers import ConsistencyNotion
 
@@ -38,6 +39,31 @@ def test_search_on_the_first_solve_csp_inputs_is_pinned():
         for i, n in enumerate((stats.nodes, stats.failures, stats.pruned, stats.solutions)):
             totals[i] += n
     assert totals == [768, 25, 999, 409]
+
+
+def test_support_queries_on_the_first_solve_csp_inputs_are_capped(monkeypatch):
+    """At most 1,536 support queries of `propagate` over the first 100
+    seed-1 solve-csp requests, counted as the benchmark's tracer counts
+    them.  Points are never revised, and once a run is down to one free
+    variable `holds` decides its values; a later cut in per-value search
+    may only lower the count."""
+    queries = [0]
+
+    def count(name):
+        fn = getattr(fdlab.propagators, name)
+
+        def counted(*args):
+            queries[0] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(fdlab.propagators, name, counted)
+
+    count("_find_int_support")
+    count("_real_support")
+    workload = workloads.WORKLOADS["solve-csp"]()
+    for item in workload.prepare(workload.generate(1)[:100]):
+        workload.request(item)
+    assert 0 < queries[0] <= 1536
 
 
 def _pruned_digest(results) -> str:

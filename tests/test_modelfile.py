@@ -83,6 +83,15 @@ def test_negative_coefficient_first_term():
         ("var x in [0,1]\nconstraint c1: table x : (1,2)\n", 2),
         ("wibble\n", 1),
         ("", 1),
+        ("var x in [0,1]\nconstraint c1: alldifferent x x\n", 2),
+        ("var x in [1,3]\nvar y in [0,1]\nconstraint c1: mod x = y mod x\n", 3),
+        ("var x in [0,1]\nconstraint c1: table x x : (1,1)\n", 2),
+        (f"var x in [0,1]\nconstraint c1: lineq {2**63}*x = 0\n", 2),
+        (f"var x in [0,1]\nconstraint c1: linle 1*x <= {2**63}\n", 2),
+        (f"var x in {{0,{2**63}}}\n", 1),
+        (f"var x in [0,1]\nvar y in [0,1]\nconstraint c1: monobij x = affine({2**63},0) y\n", 3),
+        (f"var x in [0,1]\nconstraint c1: table x : ({2**63})\n", 2),
+        (f"var x in [0,{2**63}]\n", 1),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):

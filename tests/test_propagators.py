@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+import fdlab.propagators
 from conftest import (
     fresh_rng,
     make_vars,
@@ -281,6 +282,59 @@ def test_rules_before_the_revise_loop_keep_errors_and_the_input():
     d = dom3([1], [0, 3], [-1, 2])
     for notion in NOTIONS:
         assert propagate(d, LinNe((LinTerm(1, y), LinTerm(1, z)), 2), notion).domain is d
+
+
+def _record_queries(monkeypatch):
+    """Wrap both support searches of `propagate`.  Each query appends
+    whether another variable of its constraint has more than one candidate
+    (for bounds(R), a box of positive length)."""
+    seen = []
+
+    def record(name, others_free):
+        fn = getattr(fdlab.propagators, name)
+
+        def recorded(*args):
+            seen.append(others_free(*args))
+            return fn(*args)
+
+        monkeypatch.setattr(fdlab.propagators, name, recorded)
+
+    record("_find_int_support", lambda c, var, value, cands: any(
+        len(cands(w)) > 1 for w in c.scope if w != var
+    ))
+    record("_real_support", lambda d, c, var, value: any(
+        d.inf(w) < d.sup(w) for w in c.scope if w != var
+    ))
+    return seen
+
+
+def test_no_support_query_once_every_other_variable_is_a_point(monkeypatch):
+    # on entry or after a narrowing, a run down to one free variable
+    # revises it with `holds`
+    seen = _record_queries(monkeypatch)
+    rng = fresh_rng(31)
+    for _ in range(400):
+        n = rng.randint(2, 4)
+        vs = make_vars(n)
+        c = random_int_constraint(rng, vs)
+        d = random_domain(rng, n, max_size=4)
+        for notion in NOTIONS:
+            if notion is ConsistencyNotion.BOUNDS_R and not real_defined(c):
+                continue
+            propagate(d, c, notion)
+    assert len(seen) > 1000 and all(seen)
+
+
+def test_a_run_narrowed_to_one_free_variable_revises_it_with_holds(monkeypatch):
+    # one query per value of x; x = 0 leaves y the only free variable, and
+    # `holds` decides its eight values
+    seen = _record_queries(monkeypatch)
+    x, y, z = make_vars(3)
+    c = LinEq((LinTerm(1, x), LinTerm(1, y), LinTerm(1, z)), 2)
+    d = Domain((IntSet.interval(0, 5), IntSet.interval(2, 9), IntSet.of([0])))
+    res = propagate(d, c, ConsistencyNotion.DOMAIN)
+    assert res.domain == dom3([0], [2], [0])
+    assert len(seen) == 6
 
 
 def test_disequality_trims_only_a_fully_determined_endpoint():
