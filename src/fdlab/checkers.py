@@ -51,7 +51,9 @@ so that an early support over wide ranges costs no table.  The queries of
 one `check` share one table per side, kept under the candidates and
 coefficients it is a pure function of, so no witness changes: every pin
 left of the split meets the same right table, and every pin right of it
-the same left list.  Every linear support, integer or real, reads the
+the same left list.  A side's ranks are decoded into values once per call,
+under that side's candidates alone, as the coefficients do not change a
+decoded assignment.  Every linear support, integer or real, reads the
 other terms once var is pinned (`_pinned_linear`) and the least and
 greatest sum of each suffix of them (`_hull`).  The real one at `=` is the
 walk over the boxes, with exact division where the integer one rounds,
@@ -214,6 +216,19 @@ def _lex_assignment(free_vals: list[Sequence[int]], rank: int) -> tuple[int, ...
     return tuple(reversed(out))
 
 
+class _Decoded(dict):
+    """rank -> `_lex_assignment(free_vals, rank)`, each rank decoded once; a
+    pure function of free_vals, whatever the coefficients."""
+
+    def __init__(self, free_vals: tuple[Sequence[int], ...]):
+        super().__init__()
+        self.free_vals = free_vals
+
+    def __missing__(self, rank: int) -> tuple[int, ...]:
+        t = self[rank] = _lex_assignment(self.free_vals, rank)
+        return t
+
+
 def _lex_walk(
     free_vals: list[Sequence[int]],
     coeffs: list[int],
@@ -306,15 +321,17 @@ def _meet_in_the_middle(
             return _lex_walk(free_vals, coeffs, target, "eq", cost // 32)
         except _OutOfBudget:
             pass
-    left, right = free_vals[1:m], free_vals[m:]
-    first = _shared(tables, "right", _first_ranks, tuple(right), tuple(coeffs[m:]))
-    inner = _shared(tables, "left", _lex_sums, tuple(left), tuple(coeffs[1:m]))
+    left, right = tuple(free_vals[1:m]), tuple(free_vals[m:])
+    first = _shared(tables, "right", _first_ranks, right, tuple(coeffs[m:]))
+    inner = _shared(tables, "left", _lex_sums, left, tuple(coeffs[1:m]))
     for v in free_vals[0]:
         r = target - coeffs[0] * v
         for i, s in enumerate(inner):
             j = first.get(r - s)
             if j is not None:
-                return (v,) + _lex_assignment(left, i) + _lex_assignment(right, j)
+                at_left = _shared(tables, "left decoded", _Decoded, left)
+                at_right = _shared(tables, "right decoded", _Decoded, right)
+                return (v,) + at_left[i] + at_right[j]
     return None
 
 

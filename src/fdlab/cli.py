@@ -176,6 +176,10 @@ def cmd_reduce_subsetsum(args) -> int:
         if args.seed is None:
             print("error: --random requires --seed", file=sys.stderr)
             return EXIT_ERROR
+        for flag, n in ("--random", args.random), ("--max-value", args.max_value):
+            if n < 1:
+                print(f"error: {flag} must be at least 1, not {n}", file=sys.stderr)
+                return EXIT_ERROR
         rng = random.Random(args.seed)
         items = [rng.randint(1, args.max_value) for _ in range(args.random)]
         target = args.target if args.target is not None else rng.randint(

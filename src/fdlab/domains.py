@@ -17,7 +17,7 @@ stands it in by +-2**256.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -44,31 +44,37 @@ class VarId(NamedTuple):
 
 @dataclass(frozen=True)
 class IntSet:
-    """Non-empty, strictly increasing tuple of 64-bit integers."""
+    """Non-empty, strictly increasing tuple of 64-bit integers.
+
+    `IntSet(values)` checks every value.  Sets made from data known to be
+    valid skip that walk (`_unchecked`): `of` and `interval` check only the
+    ends of what they sort or count, and a narrowing keeps a subsequence of
+    a valid set."""
 
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.values:
-            raise ValueError("IntSet may not be empty")
-        prev = None
-        for v in self.values:
-            if prev is not None and v <= prev:
-                raise ValueError("IntSet values must be strictly increasing")
-            prev = v
-        # strictly increasing, so the two ends bound every value
-        checked_int64(self.values[0])
-        checked_int64(self.values[-1])
+        values = self.values
+        if any(a >= b for a, b in zip(values, values[1:])):
+            raise ValueError("IntSet values must be strictly increasing")
+        _check_ends(values)
+
+    @classmethod
+    def _unchecked(cls, values: tuple[int, ...]) -> "IntSet":
+        """The set of values already known to pass `IntSet(values)`'s check."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "values", values)
+        return s
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "IntSet":
-        return cls(tuple(sorted(set(values))))
+        return cls._unchecked(_check_ends(tuple(sorted(set(values)))))
 
     @classmethod
     def interval(cls, lo: int, hi: int) -> "IntSet":
         if lo > hi:
             raise ValueError(f"empty interval [{lo},{hi}]")
-        return cls(tuple(range(checked_int64(lo), checked_int64(hi) + 1)))
+        return cls._unchecked(tuple(range(checked_int64(lo), checked_int64(hi) + 1)))
 
     @property
     def inf(self) -> int:
@@ -99,13 +105,26 @@ class IntSet:
 
     def remove(self, v: int) -> "IntSet | None":
         """Set minus one value; None once it would become empty."""
-        rest = tuple(x for x in self.values if x != v)
-        return IntSet(rest) if rest else None
+        i = bisect_left(self.values, v)
+        if i == len(self.values) or self.values[i] != v:
+            return self
+        rest = self.values[:i] + self.values[i + 1 :]
+        return IntSet._unchecked(rest) if rest else None
 
     def clamp(self, lo: int, hi: int) -> "IntSet | None":
         """Keep only values in [lo, hi]; None once empty."""
-        rest = tuple(x for x in self.values if lo <= x <= hi)
-        return IntSet(rest) if rest else None
+        rest = self.values[bisect_left(self.values, lo) : bisect_right(self.values, hi)]
+        return IntSet._unchecked(rest) if rest else None
+
+
+def _check_ends(values: tuple[int, ...]) -> tuple[int, ...]:
+    """values, once non-empty with both ends in 64 bits; in a strictly
+    increasing tuple the two ends bound every value."""
+    if not values:
+        raise ValueError("IntSet may not be empty")
+    checked_int64(values[0])
+    checked_int64(values[-1])
+    return values
 
 
 @dataclass(frozen=True)
@@ -139,17 +158,21 @@ class Domain:
 class Valuation(Mapping[VarId, Fraction]):
     """Finite map from variables to exact rationals.
 
-    Accepts ints or Fractions at construction; stores Fractions.  A valuation
-    is integral when every bound value has denominator 1.
+    Accepts ints or Fractions at construction; keeps ints as ints and reads
+    every binding as a Fraction.  A valuation is integral when every bound
+    value has denominator 1.
     """
 
     __slots__ = ("_bindings",)
 
     def __init__(self, bindings: Mapping[VarId, "int | Fraction"]):
-        self._bindings = {v: Fraction(q) for v, q in bindings.items()}
+        self._bindings = {
+            v: q if type(q) is int else Fraction(q) for v, q in bindings.items()
+        }
 
     def __getitem__(self, var: VarId) -> Fraction:
-        return self._bindings[var]
+        q = self._bindings[var]
+        return Fraction(q) if type(q) is int else q
 
     def __iter__(self) -> Iterator[VarId]:
         return iter(self._bindings)

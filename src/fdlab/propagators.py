@@ -161,7 +161,7 @@ def propagate(
             continue
         if not kept:
             return PropagationResult(None, ())
-        d = d.with_set(var, IntSet(kept))
+        d = d.with_set(var, IntSet._unchecked(kept))
         cands = candidates(d, notion)
         if hull is not None:
             hull.narrow(var, d.get(var))

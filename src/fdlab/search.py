@@ -39,7 +39,7 @@ class SearchStats:
 def _split(d: Domain, idx: int, strategy: BranchStrategy) -> list[Domain]:
     s = d.sets[idx]
     k = 1 if strategy is BranchStrategy.MIN_SPLIT else (s.size + 1) // 2
-    return [d.with_set(idx, IntSet(s.values[:k])), d.with_set(idx, IntSet(s.values[k:]))]
+    return [d.with_set(idx, IntSet._unchecked(h)) for h in (s.values[:k], s.values[k:])]
 
 
 def branch(d: Domain, strategy: BranchStrategy = BranchStrategy.MIN_SPLIT) -> list[Domain]:

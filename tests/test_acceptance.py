@@ -4,7 +4,8 @@ Timing tolerances are pinned here and nowhere else: the worked-example
 catalog must finish under 1 s, each randomized property block under 60 s,
 and the cost-asymmetry criterion asserts growth-rate orderings only
 (>= 2.0x per step for the exponential check, <= 1.5x per step for the
-linear pass), never absolute times.
+linear pass), never absolute times.  Its twin asserts the same thresholds
+on counts of work.
 """
 
 import gc
@@ -46,6 +47,7 @@ from fdlab import (
     propagate_linear_br,
     solve,
 )
+from fdlab import checkers, propagators
 from fdlab.checkers import (
     ConsistencyNotion,
     check,
@@ -410,16 +412,22 @@ def _median_step_ratios(calls, batch, rounds):
     return [statistics.median(step) for step in steps]
 
 
-def test_criterion_5_cost_asymmetry(capsys):
-    sizes = (10, 14, 18, 22)
+def _subset_sum_gadgets():
+    """Criterion 5's subset-sum gadgets, at n = 10, 14, 18 and 22 items."""
     gadgets = []
-    for n in sizes:
+    for n in (10, 14, 18, 22):
         items = tuple(2 * ((i % 24) + 1) for i in range(n))
         inst = SubsetSumInstance(items, sum(items) - 1)  # odd target: NO instance
         m, _, _ = encode_subset_sum(inst)
         c, _ = m.constraints[0]
         gadgets.append((m.initial, c))
-        res = check_bounds_z(m.initial, c)
+    return gadgets
+
+
+def test_criterion_5_cost_asymmetry(capsys):
+    gadgets = _subset_sum_gadgets()
+    for d, c in gadgets:
+        res = check_bounds_z(d, c)
         assert not res.consistent  # full searches really happened
 
     # The exact check at n=10 takes a few ms and one linear pass ~100 us.
@@ -440,6 +448,44 @@ def test_criterion_5_cost_asymmetry(capsys):
     )
     assert all(r >= 2.0 for r in bz_ratios), bz_ratios
     assert all(r <= 1.5 for r in br_ratios), br_ratios
+
+
+def test_criterion_5_cost_asymmetry_in_counts_of_work(capsys, monkeypatch):
+    """Criterion 5's thresholds on counts of work, which no machine noise
+    moves: the sums that `_lex_sums` builds in one exact check grow by at
+    least 2.0x per step, and the term visits of the linear pass's
+    `_shave_bounds` by at most 1.5x."""
+    counts = {"sums": 0, "visits": 0}
+
+    def lex_sums(free_vals, coeffs, build=checkers._lex_sums):
+        sums = build(free_vals, coeffs)
+        counts["sums"] += len(sums)
+        return sums
+
+    def shave_bounds(d, terms, rhs, equality, shave=propagators._shave_bounds):
+        counts["visits"] += len(terms)
+        return shave(d, terms, rhs, equality)
+
+    monkeypatch.setattr(checkers, "_lex_sums", lex_sums)
+    monkeypatch.setattr(propagators, "_shave_bounds", shave_bounds)
+    sums, visits = [], []
+    for d, c in _subset_sum_gadgets():
+        counts.update(sums=0, visits=0)
+        assert not check_bounds_z(d, c).consistent
+        propagate_linear_br(d, c)
+        sums.append(counts["sums"])
+        visits.append(counts["visits"])
+    sum_steps = [b / a for a, b in zip(sums, sums[1:])]
+    visit_steps = [b / a for a, b in zip(visits, visits[1:])]
+    ok = all(r >= 2.0 for r in sum_steps) and all(r <= 1.5 for r in visit_steps)
+    report(
+        capsys,
+        f"[criterion 5] cost asymmetry in counts: {'PASS' if ok else 'FAIL'} "
+        f"(sums built {sums}, steps {[f'{r:.2f}x' for r in sum_steps]} all >= 2.0x; "
+        f"term visits {visits}, steps {[f'{r:.2f}x' for r in visit_steps]} all <= 1.5x)",
+    )
+    assert all(r >= 2.0 for r in sum_steps), sums
+    assert all(r <= 1.5 for r in visit_steps), visits
 
 
 def test_criterion_6_solver_completeness(capsys):

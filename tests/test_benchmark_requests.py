@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fdlab.propagators
-from fdlab import check, checkers, parse_model, propagate_all, trace
+from fdlab import IntSet, check, checkers, parse_model, propagate_all, trace
 from fdlab.checkers import ConsistencyNotion
 
 _PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -66,6 +66,45 @@ def test_support_queries_on_the_first_solve_csp_inputs_are_capped(monkeypatch):
     assert 0 < queries[0] <= 1536
 
 
+def _count_checked_builds(monkeypatch) -> list[int]:
+    """Counts the calls of `IntSet.__post_init__`, the walk of the public
+    constructor's check, as the benchmark's tracer counts IntSet builds."""
+    builds = [0]
+    walk = IntSet.__post_init__
+
+    def counted(self):
+        builds[0] += 1
+        walk(self)
+
+    monkeypatch.setattr(IntSet, "__post_init__", counted)
+    return builds
+
+
+def test_wide_fixpoint_narrowings_are_not_checked_again(monkeypatch):
+    """`propagate_all` on the first 40 seed-1 wide-fixpoint models builds
+    no set through the public check: every narrowing keeps part of a set
+    already checked (848 checked builds when each one was)."""
+    workload = workloads.WORKLOADS["wide-fixpoint"]()
+    models = [model for _, model in workload.prepare(workload.generate(1)[:40])]
+    builds = _count_checked_builds(monkeypatch)
+    for model in models:
+        assert not propagate_all(model).failed
+    assert builds[0] == 0
+
+
+def test_solve_csp_requests_check_no_set_past_the_parser(monkeypatch):
+    """The first 100 seed-1 solve-csp requests, parse and search, build no
+    set through the public check: the parser's `of` and `interval` check
+    only the ends of the values they sort or count, and propagation and
+    search only narrow (1,955 checked builds when each one was)."""
+    workload = workloads.WORKLOADS["solve-csp"]()
+    items = workload.prepare(workload.generate(1)[:100])
+    builds = _count_checked_builds(monkeypatch)
+    for item in items:
+        workload.request(item)
+    assert builds[0] == 0
+
+
 def _pruned_digest(results) -> str:
     digest = hashlib.sha256()
     for r in results:
@@ -108,6 +147,25 @@ def test_pruned_and_trace_of_the_first_solve_csp_inputs_are_pinned():
     assert _pruned_digest(traces) == (
         "e20f407cfb9cdb5a6b6785e10cfa2180da9e6aeec3fd84a24f7b1cc2eb33d3b8"
     )
+
+
+def test_subsetsum_checks_decode_each_rank_once(monkeypatch):
+    """Over the first 20 seed-1 subsetsum-check requests, a check decodes
+    each (part, rank) of its meet-in-the-middle at most once, whichever
+    pin asks: 177 decodes, where one per supported query and side was
+    1,252."""
+    decodes = [0]
+    lex_assignment = checkers._lex_assignment
+
+    def counted(free_vals, rank):
+        decodes[0] += 1
+        return lex_assignment(free_vals, rank)
+
+    monkeypatch.setattr(checkers, "_lex_assignment", counted)
+    workload = workloads.WORKLOADS["subsetsum-check"]()
+    for item in workload.prepare(workload.generate(1)[:20]):
+        workload.request(item)
+    assert 0 < decodes[0] <= 177, decodes
 
 
 def test_check_on_the_first_subsetsum_inputs_is_pinned():

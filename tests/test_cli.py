@@ -177,6 +177,16 @@ def test_reduce_random_requires_seed(capsys):
     assert code == 2 and "--seed" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--random", "0"), ("--random", "-3"), ("--max-value", "0")]
+)
+def test_reduce_random_sizes_below_one_are_usage_errors(capsys, flag, value):
+    argv = ["reduce-subsetsum", "--random", "4", "--seed", "1", flag, value]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be at least 1, not {value}\n"
+
+
 def test_reduce_random_is_reproducible(capsys):
     code1, out1, _ = run(capsys, "reduce-subsetsum", "--random", "6", "--seed", "9")
     code2, out2, _ = run(capsys, "reduce-subsetsum", "--random", "6", "--seed", "9")

@@ -1,6 +1,13 @@
 import pytest
 from fractions import Fraction
 
+from conftest import fresh_rng, make_vars, random_domain, random_int_constraint
+from fdlab import search
+from fdlab.checkers import ConsistencyNotion
+from fdlab.constraints import RealSemanticsUndefined, real_defined
+from fdlab.engine import Model, propagate_all
+from fdlab.propagators import propagate
+from fdlab.search import BranchStrategy, branch, solve
 from fdlab.domains import (
     INT64_MAX,
     INT64_MIN,
@@ -23,6 +30,105 @@ def test_intset_rejects_empty_and_unordered():
         IntSet((3, 1))
     with pytest.raises(ValueError):
         IntSet((1, 1))
+
+
+def test_intset_rejects_values_past_64_bits():
+    for values in ((0, INT64_MAX + 1), (INT64_MIN - 1,), (1 << 63,)):
+        with pytest.raises(OverflowError):
+            IntSet(values)
+    with pytest.raises(ValueError):  # the order is checked before the ends
+        IntSet((1 << 63, 0))
+
+
+def test_of_and_interval_reject_empty_input_and_ends_past_64_bits():
+    with pytest.raises(ValueError):
+        IntSet.of([])
+    with pytest.raises(ValueError):
+        IntSet.of(iter(()))
+    for values in ([0, INT64_MAX + 1], [INT64_MIN - 1, 5], [1 << 63]):
+        with pytest.raises(OverflowError):
+            IntSet.of(values)
+    with pytest.raises(ValueError):
+        IntSet.interval(1, 0)
+    for lo, hi in ((INT64_MAX, INT64_MAX + 1), (INT64_MIN - 1, INT64_MIN), (1 << 63, 1 << 63)):
+        with pytest.raises(OverflowError):
+            IntSet.interval(lo, hi)
+    assert IntSet.interval(INT64_MAX - 1, INT64_MAX).values == (INT64_MAX - 1, INT64_MAX)
+    assert IntSet.of([INT64_MAX, INT64_MIN]).values == (INT64_MIN, INT64_MAX)
+
+
+def assert_valid(s):
+    """s passes the public constructor's full check and equals its result."""
+    assert type(s) is IntSet and type(s.values) is tuple
+    assert IntSet(s.values) == s
+
+
+def assert_valid_domain(d):
+    for s in d.sets:
+        assert_valid(s)
+
+
+def test_every_set_derived_from_valid_sets_passes_the_public_check(monkeypatch):
+    """Derived sets skip the walk of `IntSet(values)`; each one that
+    propagation, search or a set operation returns must still pass it."""
+    visited = [0]
+    fixpoint = search.propagate_all
+
+    def checked_fixpoint(m, d, **kwargs):  # every node `solve` reaches
+        assert_valid_domain(d)
+        res = fixpoint(m, d, **kwargs)
+        if not res.failed:
+            assert_valid_domain(res.domain)
+        visited[0] += 1
+        return res
+
+    monkeypatch.setattr(search, "propagate_all", checked_fixpoint)
+    rng = fresh_rng(2024)
+    edges = (-(1 << 63), -(1 << 62), -7, 0, (1 << 62), (1 << 63) - 8)
+    for _ in range(2000):
+        base = rng.choice(edges)
+        raw = [base + rng.randint(0, 7) for _ in range(rng.randint(1, 6))]
+        s = IntSet.of(raw)
+        assert_valid(s)
+        lo, hi = sorted(rng.randint(base, base + 7) for _ in range(2))
+        assert_valid(IntSet.interval(lo, hi))
+        lo, hi = sorted(rng.randint(base - 2, base + 9) for _ in range(2))
+        for v in (rng.choice(raw), base + rng.randint(-1, 8)):
+            if s.remove(v) is not None:
+                assert_valid(s.remove(v))
+                assert s.remove(v).values == tuple(x for x in s if x != v)
+        clamped = s.clamp(lo, hi)
+        assert (clamped.values if clamped else ()) == tuple(x for x in s if lo <= x <= hi)
+        if clamped is not None:
+            assert_valid(clamped)
+
+        nvars = rng.randint(1, 4)
+        vs = make_vars(nvars)
+        d = random_domain(rng, nvars, max_size=6)
+        assert_valid_domain(range_of(d))
+        if any(not x.is_singleton for x in d.sets):
+            for strategy in BranchStrategy:
+                for child in branch(d, strategy):
+                    assert_valid_domain(child)
+        c = random_int_constraint(rng, vs)
+        for notion in ConsistencyNotion:
+            try:
+                res = propagate(d, c, notion)
+            except RealSemanticsUndefined:
+                continue
+            if not res.failed:
+                assert_valid_domain(res.domain)
+        notions = [n for n in ConsistencyNotion if real_defined(c) or n.value != "bounds-r"]
+        try:
+            m = Model(tuple(vs), d, ((c, rng.choice(notions)),))
+        except ValueError:  # a reified bool outside {0,1}
+            continue
+        res = propagate_all(m)
+        if not res.failed:
+            assert_valid_domain(res.domain)
+        for strategy in BranchStrategy:
+            solve(m, node_budget=40, strategy=strategy)
+    assert visited[0] > 4000
 
 
 def test_intset_of_sorts_and_dedups():
@@ -102,6 +208,8 @@ def test_valuation_equality_and_hash():
     x = VarId(0, "x")
     assert Valuation({x: 2}) == Valuation({x: Fraction(2)})
     assert hash(Valuation({x: 2})) == hash(Valuation({x: Fraction(2)}))
+    assert repr(Valuation({x: 2})) == repr(Valuation({x: Fraction(2)})) == "Valuation(x=2)"
+    assert type(Valuation({x: 2})[x]) is Fraction
     assert Valuation({x: 2}) != Valuation({x: 3})
 
 
