@@ -206,7 +206,10 @@ def cmd_bench(args) -> int:
     )
     print("instance,notion,nodes,failures,solutions,pruned,micros")
     for path in sorted(corpus.glob("*.model")):
-        m = parse_model(path.read_text())
+        try:
+            m = parse_model(path.read_text())
+        except ParseError as e:
+            raise ValueError(f"{path.name}: {e}") from None  # main exits 2
         for notion in notions:
             try:  # a model may not allow the notion; a bad --limit ends the run
                 forced = _with_notion(m, notion)
@@ -337,8 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError, RealSemanticsUndefined, OverflowError,
-            ValueError) as e:
+    except (OSError, OverflowError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as e:  # an internal fault must not read as exit 1, "inconsistent"

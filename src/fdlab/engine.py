@@ -32,7 +32,12 @@ from .propagators import PropagationResult, propagate
 
 
 class ModelError(ValueError):
-    """Malformed model: bad variables, domains, or constraint attachments."""
+    """Malformed model: bad variables, domains, or constraint attachments.
+    `index` is the position of the constraint at fault, None for the model."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class EventKind(Enum):
@@ -85,25 +90,21 @@ class Model:
         if len(set(self.labels)) != len(self.labels):
             raise ModelError("constraint labels must be unique")
         declared = set(self.vars)
-        for c, notion in self.constraints:
+        for i, (c, notion) in enumerate(self.constraints):
             for v in c.scope:
                 if v not in declared:
-                    raise ModelError(f"constraint uses undeclared variable {v.name}")
+                    raise ModelError(f"constraint uses undeclared variable {v.name}", i)
             if notion is ConsistencyNotion.BOUNDS_R and not c.real:
-                raise ModelError(
-                    f"{type(c).__name__} cannot be attached at bounds(R)"
-                )
+                raise ModelError(f"{type(c).__name__} cannot be attached at bounds(R)", i)
             if isinstance(c, ReifLinLe):
                 s = self.initial.get(c.b)
                 if s.inf < 0 or s.sup > 1:
                     raise ModelError(
-                        f"reified bool {c.b.name} must range over a subset of {{0,1}}"
+                        f"reified bool {c.b.name} must range over a subset of {{0,1}}", i
                     )
             if isinstance(c, MonoBij) and c.func.nonneg:
                 if self.initial.get(c.x2).inf < 0:
-                    raise ModelError(
-                        f"{c.x2.name} must be non-negative for this function"
-                    )
+                    raise ModelError(f"{c.x2.name} must be non-negative for this function", i)
 
     @classmethod
     def build(

@@ -12,6 +12,10 @@ A model file declares variables and tagged constraints:
 Sets print as [lo,hi] when contiguous with more than one value, otherwise
 as {v1,v2,...}.  The notion tag defaults to domain when omitted and is
 always printed, so print(parse(print(m))) == print(m).
+
+The reader checks the grammar, repeated members of {...} and unknown or
+repeated names and labels; every other rule is checked by the constructor
+it belongs to, and `parse_model` reports it at its declaration's line.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .constraints import (
     Table,
 )
 from .domains import IntSet, VarId
-from .engine import Model
+from .engine import Model, ModelError
 
 
 class ParseError(ValueError):
@@ -53,213 +57,141 @@ _CON_RE = re.compile(rf"^constraint\s+({_LABEL})\s*:\s*(.+)$")
 _TERM_RE = re.compile(rf"^([+-]?\d+)\*({_NAME})$")
 _ROW_RE = re.compile(r"^\((-?\d+(?:,-?\d+)*)\)$")
 _FUNC_RE = re.compile(r"^(affine|pow)\((-?\d+),(-?\d+)\)$|^(powersum3)$")
+_SHAPED = {  # kind -> its class and the shape of its body
+    "productle": (ProductLe, re.compile(rf"^({_NAME})\s+({_NAME})\s+({_NAME})$")),
+    "monobij": (MonoBij, re.compile(rf"^({_NAME})\s*=\s*(\S+)\s+({_NAME})$")),
+    "mod": (Mod, re.compile(rf"^({_NAME})\s*=\s*({_NAME})\s+mod\s+({_NAME})$")),
+}
 
 _NOTIONS = {n.value: n for n in ConsistencyNotion}
 _SYMBOLS = {"eq": "=", "le": "<=", "ne": "!="}  # linear relation -> model-file text
 
 
-def _parse_set(text: str, line_no: int) -> IntSet:
-    text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        parts = text[1:-1].split(",")
-        if len(parts) != 2:
-            raise ParseError(f"bad interval {text!r}", line_no)
-        try:
-            lo, hi = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"bad interval {text!r}", line_no) from None
-        if lo > hi:
-            raise ParseError(f"empty interval {text!r}", line_no)
-        return IntSet.interval(lo, hi)
-    if text.startswith("{") and text.endswith("}"):
-        try:
-            values = [int(p) for p in text[1:-1].split(",")]
-        except ValueError:
-            raise ParseError(f"bad value set {text!r}", line_no) from None
-        if len(set(values)) != len(values):
-            raise ParseError(f"duplicate values in {text!r}", line_no)
+def _parse_set(text: str) -> IntSet:
+    if text[0] + text[-1] == "[]" and text.count(",") == 1:
+        lo, hi = text[1:-1].split(",")
+        return IntSet.interval(int(lo), int(hi))
+    if text[0] + text[-1] == "{}":
+        values = [int(p) for p in text[1:-1].split(",")]
+        if len(set(values)) != len(values):  # IntSet.of would merge them
+            raise ValueError(f"duplicate values in {text!r}")
         return IntSet.of(values)
-    raise ParseError(f"expected [lo,hi] or {{v1,v2,...}}, got {text!r}", line_no)
+    raise ValueError(f"expected [lo,hi] or {{v1,v2,...}}, got {text!r}")
 
 
-def _parse_terms(
-    tokens: list[str], vars_by_name: dict[str, VarId], line_no: int
-) -> tuple[LinTerm, ...]:
-    terms = []
-    sign = 1
-    expect_term = True
-    for tok in tokens:
-        if not expect_term:
-            if tok == "+":
-                sign = 1
-            elif tok == "-":
-                sign = -1
-            else:
-                raise ParseError(f"expected + or - before {tok!r}", line_no)
-            expect_term = True
-            continue
-        m = _TERM_RE.match(tok)
-        if not m:
-            raise ParseError(f"bad linear term {tok!r}", line_no)
-        coeff = sign * int(m.group(1))
-        name = m.group(2)
-        if name not in vars_by_name:
-            raise ParseError(f"unknown variable {name!r}", line_no)
-        if coeff == 0:
-            raise ParseError(f"zero coefficient on {name!r}", line_no)
-        terms.append(LinTerm(coeff, vars_by_name[name]))
-        expect_term = False
-    if expect_term or not terms:
-        raise ParseError("dangling or empty linear expression", line_no)
-    return tuple(terms)
+class _Vars(dict):
+    """The declared variables by name; an unknown name is a ValueError."""
+
+    def __missing__(self, name: str) -> VarId:
+        raise ValueError(f"unknown variable {name!r}")
 
 
-def _parse_linear_body(
-    body: str, op: str, vars_by_name: dict[str, VarId], line_no: int
-) -> tuple[tuple[LinTerm, ...], int]:
-    lhs, sep, rhs = body.rpartition(f" {op} ")
+def _parse_linear(text: str, op: str, vs: _Vars) -> tuple[tuple[LinTerm, ...], int]:
+    """`c*x + c*y - ... OP rhs`: terms at even token positions, signs between."""
+    lhs, sep, rhs = text.rpartition(f" {op} ")
     if not sep:
-        raise ParseError(f"expected {op!r} in {body!r}", line_no)
-    try:
-        rhs_val = int(rhs.strip())
-    except ValueError:
-        raise ParseError(f"bad right-hand side {rhs.strip()!r}", line_no) from None
-    return _parse_terms(lhs.split(), vars_by_name, line_no), rhs_val
+        raise ValueError(f"expected {op!r} in {text!r}")
+    tokens = lhs.split()
+    if len(tokens) % 2 == 0:
+        raise ValueError("dangling or empty linear expression")
+    terms = []
+    for sign, tok in zip(["+"] + tokens[1::2], tokens[::2]):
+        m = _TERM_RE.match(tok)
+        if sign not in ("+", "-"):
+            raise ValueError(f"expected + or -, got {sign!r}")
+        if not m:
+            raise ValueError(f"bad linear term {tok!r}")
+        coeff = int(m.group(1))
+        terms.append(LinTerm(-coeff if sign == "-" else coeff, vs[m.group(2)]))
+    return tuple(terms), int(rhs)
 
 
-def _lookup(
-    name: str, vars_by_name: dict[str, VarId], line_no: int
-) -> VarId:
-    if name not in vars_by_name:
-        raise ParseError(f"unknown variable {name!r}", line_no)
-    return vars_by_name[name]
-
-
-def _parse_func(text: str, line_no: int) -> MonoFunc:
+def _parse_func(text: str) -> MonoFunc:
     m = _FUNC_RE.match(text)
     if not m:
-        raise ParseError(f"bad function {text!r}", line_no)
+        raise ValueError(f"bad function {text!r}")
     if m.group(4) == "powersum3":
         return PowerSum3()
     kind, p, q = m.group(1), int(m.group(2)), int(m.group(3))
     return Affine(p, q) if kind == "affine" else PowK(p, q)
 
 
-def _parse_constraint(
-    body: str, vars_by_name: dict[str, VarId], line_no: int
-) -> Constraint:
+def _parse_constraint(body: str, vs: _Vars) -> Constraint:
     kind, _, rest = body.partition(" ")
     rest = rest.strip()
+    var = vs.__getitem__
     for cls in (LinEq, LinLe, LinNe):
         if kind == f"lin{cls.op}":
-            symbol = _SYMBOLS[cls.op]
-            terms, rhs = _parse_linear_body(rest, symbol, vars_by_name, line_no)
-            return cls(terms, rhs)
+            return cls(*_parse_linear(rest, _SYMBOLS[cls.op], vs))
     if kind == "alldifferent":
-        names = rest.split()
-        if len(names) < 2:
-            raise ParseError("alldifferent needs at least two variables", line_no)
-        return AllDifferent(tuple(_lookup(n, vars_by_name, line_no) for n in names))
-    if kind == "productle":
-        names = rest.split()
-        if len(names) != 3:
-            raise ParseError("productle needs exactly three variables", line_no)
-        x1, x2, x3 = (_lookup(n, vars_by_name, line_no) for n in names)
-        return ProductLe(x1, x2, x3)
-    if kind == "monobij":
-        m = re.match(rf"^({_NAME})\s*=\s*(\S+)\s+({_NAME})$", rest)
+        return AllDifferent(tuple(map(var, rest.split())))
+    if kind in _SHAPED:
+        cls, shape = _SHAPED[kind]
+        m = shape.match(rest)
         if not m:
-            raise ParseError(f"bad monobij body {rest!r}", line_no)
-        x1 = _lookup(m.group(1), vars_by_name, line_no)
-        func = _parse_func(m.group(2), line_no)
-        x2 = _lookup(m.group(3), vars_by_name, line_no)
-        return MonoBij(x1, func, x2)
-    if kind == "mod":
-        m = re.match(rf"^({_NAME})\s*=\s*({_NAME})\s+mod\s+({_NAME})$", rest)
-        if not m:
-            raise ParseError(f"bad mod body {rest!r}", line_no)
-        x1, x2, x3 = (_lookup(m.group(i), vars_by_name, line_no) for i in (1, 2, 3))
-        return Mod(x1, x2, x3)
+            raise ValueError(f"bad {kind} body {rest!r}")
+        if cls is MonoBij:
+            return MonoBij(var(m.group(1)), _parse_func(m.group(2)), var(m.group(3)))
+        return cls(*map(var, m.groups()))
     if kind == "reifle":
         head, sep, tail = rest.partition(" <-> ")
         if not sep:
-            raise ParseError("reifle needs '<->'", line_no)
-        b = _lookup(head.strip(), vars_by_name, line_no)
-        terms, rhs = _parse_linear_body(tail.strip(), "<=", vars_by_name, line_no)
-        return ReifLinLe(b, terms, rhs)
+            raise ValueError("reifle needs '<->'")
+        return ReifLinLe(var(head.strip()), *_parse_linear(tail.strip(), "<=", vs))
     if kind == "table":
-        head, sep, tail = rest.partition(" : ")
+        head, sep, tail = rest.partition(":")
         if not sep:
-            raise ParseError("table needs ':' between variables and rows", line_no)
-        names = head.split()
-        if not names:
-            raise ParseError("table needs variables", line_no)
-        tvars = tuple(_lookup(n, vars_by_name, line_no) for n in names)
+            raise ValueError("table needs ':' between variables and rows")
+        tvars = tuple(map(var, head.split()))
         rows = []
         for tok in tail.split():
             m = _ROW_RE.match(tok)
             if not m:
-                raise ParseError(f"bad table row {tok!r}", line_no)
-            row = tuple(int(p) for p in m.group(1).split(","))
-            if len(row) != len(names):
-                raise ParseError(f"row {tok!r} has wrong arity", line_no)
-            rows.append(row)
+                raise ValueError(f"bad table row {tok!r}")
+            rows.append(tuple(map(int, m.group(1).split(","))))
         return Table(tvars, tuple(rows))
-    raise ParseError(f"unknown constraint kind {kind!r}", line_no)
+    raise ValueError(f"unknown constraint kind {kind!r}")
 
 
 def parse_model(text: str) -> Model:
     """The model in `text`.  Every error, a 64-bit overflow or a repeated
-    variable included, is a ParseError with the line it was found on."""
+    variable included, is a ParseError with the line of the declaration it
+    rejects; an error of the whole model names the last line."""
     var_domains: list[tuple[str, IntSet]] = []
-    vars_by_name: dict[str, VarId] = {}
+    vs = _Vars()
     constraints: list[tuple[Constraint, ConsistencyNotion]] = []
-    labels: list[str] = []
+    lines: dict[str, int] = {}  # each constraint's label -> its line, in order
     line_no = 1
     try:
         for line_no, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if line.startswith("var "):
-                m = _VAR_RE.match(line)
-                if not m:
-                    raise ParseError(f"bad variable declaration {line!r}", line_no)
+            if m := _VAR_RE.match(line):
                 name = m.group(1)
-                if name in vars_by_name:
-                    raise ParseError(f"duplicate variable {name!r}", line_no)
-                s = _parse_set(m.group(2), line_no)
-                vars_by_name[name] = VarId(len(var_domains), name)
-                var_domains.append((name, s))
-            elif line.startswith("constraint "):
-                m = _CON_RE.match(line)
-                if not m:
-                    raise ParseError(f"bad constraint declaration {line!r}", line_no)
+                if name in vs:
+                    raise ValueError(f"duplicate variable {name!r}")
+                vs[name] = VarId(len(var_domains), name)
+                var_domains.append((name, _parse_set(m.group(2))))
+            elif m := _CON_RE.match(line):
                 label = m.group(1)
-                if label in labels:
-                    raise ParseError(f"duplicate constraint label {label!r}", line_no)
-                body = m.group(2).strip()
-                head, sep, tag = body.rpartition(" @ ")
-                if sep:
-                    tag = tag.strip()
-                    if tag not in _NOTIONS:
-                        raise ParseError(f"unknown notion {tag!r}", line_no)
-                    notion = _NOTIONS[tag]
-                    body = head.strip()
-                else:
-                    notion = ConsistencyNotion.DOMAIN
-                c = _parse_constraint(body, vars_by_name, line_no)
+                if label in lines:
+                    raise ValueError(f"duplicate constraint label {label!r}")
+                body, _, tag = m.group(2).partition(" @ ")
+                notion = _NOTIONS.get(tag.strip() or "domain")
+                if notion is None:
+                    raise ValueError(f"unknown notion {tag.strip()!r}")
+                c = _parse_constraint(body.strip(), vs)
                 constraints.append((c, notion))
-                labels.append(label)
+                lines[label] = line_no
             else:
-                raise ParseError(f"expected 'var' or 'constraint', got {line!r}", line_no)
-        # errors of the whole model are reported at its last line
+                raise ValueError(f"expected a var or constraint declaration: {line!r}")
         if not var_domains:
-            raise ParseError("model declares no variables", line_no)
-        return Model.build(var_domains, constraints, labels)
-    except ParseError:
-        raise
+            raise ValueError("model declares no variables")
+        return Model.build(var_domains, constraints, list(lines))
     except (ValueError, OverflowError) as e:
+        if isinstance(e, ModelError) and e.index is not None:  # one constraint's error
+            line_no = list(lines.values())[e.index]
         raise ParseError(str(e), line_no) from None
 
 
@@ -302,8 +234,8 @@ def _print_constraint(c: Constraint) -> str:
     if isinstance(c, ReifLinLe):
         return f"reifle {c.b.name} <-> {_print_terms(c.terms)} <= {c.rhs}"
     if isinstance(c, Table):
-        rows = " ".join("(" + ",".join(str(v) for v in row) + ")" for row in c.rows)
-        return "table " + " ".join(v.name for v in c.vars) + " : " + rows
+        rows = "".join(" (" + ",".join(map(str, row)) + ")" for row in c.rows)
+        return "table " + " ".join(v.name for v in c.vars) + " :" + rows
     raise TypeError(f"unprintable constraint {type(c).__name__}")
 
 

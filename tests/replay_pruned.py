@@ -7,10 +7,14 @@ Each checkout (this one and OTHER_CHECKOUT, typically the parent commit)
 answers in a child process of its own, with its own `src/` and
 `perfbench/workloads.py`, every input of every workload at each seed:
 
-- wide-fixpoint: `propagate_all` at fifo and lifo, and `trace`;
-- solve-csp: `solve` (solutions and stats), `propagate_all` at fifo and
-  lifo, `trace`, and `propagate` of each constraint on the initial domain;
+- wide-fixpoint: `parse` (the parsed `Model`), `propagate_all` at fifo and
+  lifo, and `trace`;
+- solve-csp: `parse`, `solve` (solutions and stats), `propagate_all` at fifo
+  and lifo, `trace`, and `propagate` of each constraint on the initial domain;
 - subsetsum-check: the request's answer and the full bounds(Z) `check`.
+
+Both checkouts also parse every file under this checkout's `models/` and
+`tests/hostile/`: the answer is the `Model`, or the line of the ParseError.
 
 A child prints one SHA-256 digest of `repr` per answer; the script reports
 the first answer that differs, and exits 1 if any does.  It is not a test
@@ -32,9 +36,11 @@ HERE = Path(__file__).resolve().parents[1]
 def _answers(fdlab, workloads, name: str, item):
     """(label, answer) pairs for one input of workload `name`."""
     if name == "wide-fixpoint":
-        model = item[1]
+        model = item[1]  # parsed by the workload's `prepare`
+        yield "parse", model
     elif name == "solve-csp":
         model = fdlab.parse_model(item[1])
+        yield "parse", model
         yield "solve", fdlab.solve(model)
         for c, notion in model.constraints:
             res = fdlab.propagate(model.initial, c, notion)
@@ -66,8 +72,19 @@ def emit(root: Path, seeds: list[int]) -> None:
         for seed in seeds:
             for index, item in enumerate(workload.prepare(workload.generate(seed))):
                 for label, answer in _answers(fdlab, workloads, name, item):
-                    digest = hashlib.sha256(repr(answer).encode()).hexdigest()
-                    print(name, seed, index, label, digest)
+                    _print(name, seed, index, label, answer)
+    files = [*(HERE / "models").glob("*"), *(HERE / "tests" / "hostile").glob("*")]
+    for path in sorted(files):
+        try:
+            answer = fdlab.parse_model(path.read_text())
+        except fdlab.ParseError as e:
+            answer = ("ParseError", e.line_no)
+        _print("files", "-", path.relative_to(HERE), "parse", answer)
+
+
+def _print(name, seed, index, label, answer) -> None:
+    digest = hashlib.sha256(repr(answer).encode()).hexdigest()
+    print(name, seed, index, label, digest)
 
 
 def _run(root: Path, seeds: list[int]) -> list[str]:
