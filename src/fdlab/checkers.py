@@ -13,10 +13,11 @@ states them:
 the real boxes), `sees_holes` whether the second column reads the sets.
 `check` is one loop over the variables and the values needing support; the
 propagators and the engine read the same three functions.  Beside them,
-`closed_form` lists the cases where a notion's supported values are a
-union of windows read off the other variables' ends, which `propagate`
-keeps instead of asking each value, and `SumHull` keeps a linear sum's
-hull over the boxes, so that a caller revising every term pays O(1) each.
+one table keyed by constraint class (`_CLASSES`) gives each class's
+integer and real support searches and its closed-form reader, with the
+cases where a notion's supported values are a union of windows read off
+the other variables' ends, which `propagate` keeps instead of asking each
+value (`closed_form`).
 
 The reported integer support is the lexicographically first one, with
 each variable's candidates in ascending order.  A linear or bilinear form
@@ -79,10 +80,12 @@ from .constraints import (
     LinEq,
     LinLe,
     LinNe,
+    Mod,
     MonoBij,
     ProductLe,
     RealSemanticsUndefined,
     ReifLinLe,
+    Table,
     mono_eval_vs64,
     # bound only because perfbench/tracing.py wraps this name (ROADMAP item 4)
     sat_int,
@@ -362,34 +365,46 @@ def _find_int_support(
 ) -> tuple[int, ...] | None:
     """Lex-first integral support of pin=value over the other variables, as
     the values of vars_of(c) in order (pin's in its place), or None."""
-    if isinstance(c, (LinEq, LinLe, LinNe, ReifLinLe)):
-        # shared by the values of one pin; read only
-        free_vals, coeffs, own = _shared(tables, "pin", _pinned_linear, c, pin, candidates)
-        rest = c.rhs - own * value
-        if isinstance(c, ReifLinLe):  # b first: b = 0 where sum > rest, then b = 1
-            bs = (value,) if pin == c.b else candidates(c.b)
-            for b, signed, target in (0, [-a for a in coeffs], -rest - 1), (1, coeffs, rest):
-                chosen = _lex_walk(free_vals, signed, target, "le") if b in bs else None
-                if chosen is not None:
-                    chosen = chosen if pin == c.b else (b,) + chosen
-                    break
-        else:
-            chosen = _scan_linear_py(free_vals, coeffs, rest, c.op, tables)
-        if chosen is None:
-            return None
-        i = c.scope.index(pin)
-        return chosen[:i] + (value,) + chosen[i:]
-    if isinstance(c, ProductLe):
-        return _product_support(c, pin, value, candidates)
-    if isinstance(c, MonoBij):
-        return _monobij_support(c, pin, value, candidates)
-    # generic catalog: every tuple in lex order, pin held at value
+    return _CLASSES[type(c)].int_support(c, pin, value, candidates, tables)
+
+
+def _with_pin(
+    c: Constraint, pin: VarId, value: int, chosen: tuple[int, ...] | None
+) -> tuple[int, ...] | None:
+    """The other variables' values `chosen`, with pin's put in its place."""
+    if chosen is None:
+        return None
+    i = c.scope.index(pin)
+    return chosen[:i] + (value,) + chosen[i:]
+
+
+def _linear_support(c, pin, value, candidates, tables):
+    # shared by the values of one pin; read only
+    free_vals, coeffs, own = _shared(tables, "pin", _pinned_linear, c, pin, candidates)
+    chosen = _scan_linear_py(free_vals, coeffs, c.rhs - own * value, c.op, tables)
+    return _with_pin(c, pin, value, chosen)
+
+
+def _reif_support(c, pin, value, candidates, tables):
+    # b first: b = 0 where sum > rest, then b = 1
+    free_vals, coeffs, own = _shared(tables, "pin", _pinned_linear, c, pin, candidates)
+    rest = c.rhs - own * value
+    bs = (value,) if pin == c.b else candidates(c.b)
+    for b, signed, target in (0, [-a for a in coeffs], -rest - 1), (1, coeffs, rest):
+        chosen = _lex_walk(free_vals, signed, target, "le") if b in bs else None
+        if chosen is not None:
+            return _with_pin(c, pin, value, chosen if pin == c.b else (b,) + chosen)
+    return None
+
+
+def _scan_support(c, pin, value, candidates, tables):
+    # every tuple in lex order, pin held at value
     pools = [(value,) if v == pin else candidates(v) for v in c.scope]
     return next((t for t in itertools.product(*pools) if c.holds(t)), None)
 
 
 def _monobij_support(
-    c: MonoBij, pin: VarId, value: int, candidates: CandidateFn
+    c: MonoBij, pin: VarId, value: int, candidates: CandidateFn, tables=None
 ) -> tuple[int, int] | None:
     # g is strictly monotone, so a pinned variable leaves one value for the
     # other: g(value) for x1, or value's integral preimage for x2
@@ -412,7 +427,7 @@ def _least_le(vs: Sequence[int], a: int, bound: int) -> int | None:
 
 
 def _product_support(
-    c: ProductLe, pin: VarId, value: int, candidates: CandidateFn
+    c: ProductLe, pin: VarId, value: int, candidates: CandidateFn, tables=None
 ) -> tuple[int, ...] | None:
     # With one factor fixed the product is linear in the other, so its least
     # value over a set sits at the set's ends.  Each variable in turn takes
@@ -487,9 +502,18 @@ def _real_support_alldiff(
     return True, tuple(chosen)
 
 
-def _real_support_monobij(d: Domain, c: MonoBij, value: int) -> RealSupport:
+def _real_via_int(d: Domain, c: Constraint, pin: VarId, value: int) -> RealSupport:
+    # the real supports of these are their integer ones (see the module doc)
+    boxes = candidates(lambda v: d.get(v).values, ConsistencyNotion.BOUNDS_Z)
+    t = _find_int_support(c, pin, value, boxes)
+    return t is not None, t
+
+
+def _real_support_monobij(d: Domain, c: MonoBij, pin: VarId, value: int) -> RealSupport:
     # x1 = value: supported iff value lies between g's values at x2's ends;
     # its one preimage may be irrational, and then no witness is given
+    if pin != c.x1:
+        return _real_via_int(d, c, pin, value)
     l2, u2 = d.inf(c.x2), d.sup(c.x2)
     if c.func.nonneg:
         l2 = max(l2, 0)
@@ -510,15 +534,7 @@ def _real_support(d: Domain, c: Constraint, pin: VarId, value: int) -> RealSuppo
         raise RealSemanticsUndefined(
             f"{type(c).__name__} has no real semantics; bounds(R) undefined"
         )
-    if isinstance(c, LinEq):
-        return _real_support_eq(d, c, pin, value)
-    if isinstance(c, AllDifferent):
-        return _real_support_alldiff(d, c, pin, value)
-    if isinstance(c, MonoBij) and pin == c.x1:
-        return _real_support_monobij(d, c, value)
-    # the others' real supports are their integer ones (see the module doc)
-    t = _find_int_support(c, pin, value, candidates(d, ConsistencyNotion.BOUNDS_Z))
-    return t is not None, t
+    return _CLASSES[type(c)].real_support(d, c, pin, value)
 
 
 # --------------------------------------------------------------------------
@@ -537,38 +553,14 @@ def sees_holes(notion: ConsistencyNotion) -> bool:
     return notion in (ConsistencyNotion.DOMAIN, ConsistencyNotion.BOUNDS_D)
 
 
-def candidates(d: Domain, notion: ConsistencyNotion) -> CandidateFn | None:
-    """Where supports are searched; None stands for the real boxes."""
+def candidates(values: CandidateFn, notion: ConsistencyNotion) -> CandidateFn | None:
+    """Where supports are searched, given each variable's values; None
+    stands for the real boxes."""
     if sees_holes(notion):
-        return lambda v: d.get(v).values
+        return values
     if notion is ConsistencyNotion.BOUNDS_Z:
-        return lambda v: range(d.inf(v), d.sup(v) + 1)
+        return lambda v: range(values(v)[0], values(v)[-1] + 1)
     return None
-
-
-class SumHull:
-    """Least and greatest value of a linear sum over the boxes of a domain,
-    kept per term, so that the hull of the terms other than one variable's
-    costs O(1), and so does an update when that variable's set narrows."""
-
-    def __init__(self, d: Domain, c: Constraint) -> None:
-        self.coeff = {t.var: t.coeff for t in c.terms}
-        self.part: dict[VarId, tuple[int, int]] = {}
-        self.lo = self.hi = 0
-        for v in self.coeff:
-            self.narrow(v, d.get(v))
-
-    def narrow(self, var: VarId, s: IntSet) -> None:
-        a = self.coeff[var]
-        lo, hi = (a * s.inf, a * s.sup) if a > 0 else (a * s.sup, a * s.inf)
-        old_lo, old_hi = self.part.get(var, (0, 0))
-        self.lo += lo - old_lo
-        self.hi += hi - old_hi
-        self.part[var] = lo, hi
-
-    def without(self, var: VarId) -> tuple[int, int]:
-        lo, hi = self.part[var]
-        return self.lo - lo, self.hi - hi
 
 
 def _union(windows: Sequence[range]) -> tuple[range, ...]:
@@ -582,47 +574,63 @@ def _union(windows: Sequence[range]) -> tuple[range, ...]:
     return tuple(out)
 
 
-def _linear_windows(
-    d: Domain, c: Constraint, var: VarId, values: Sequence[int], hull: SumHull | None
-) -> tuple[range, ...]:
-    lo, hi = hull.without(var)
-    w = _window(values, hull.coeff[var], c.rhs, lo, hi if c.op == "eq" else None)
-    return (w,) if w else ()
+def _product_windows(vals: list[Sequence[int]], k: int) -> tuple[range, ...]:
+    s1, s2, s3 = vals
+    if k == 2:  # v >= the least corner product
+        least = min(s1[0] * s2[0], s1[0] * s2[-1], s1[-1] * s2[0], s1[-1] * s2[-1])
+        return _union([_le_window(s3, -1, -least)])
+    l, u = (s2[0], s2[-1]) if k == 0 else (s1[0], s1[-1])
+    return _union([_le_window(vals[k], l, s3[-1]), _le_window(vals[k], u, s3[-1])])
 
 
-def _product_windows(
-    d: Domain, c: Constraint, var: VarId, values: Sequence[int], hull: SumHull | None
-) -> tuple[range, ...]:
-    l1, u1, l2, u2 = d.inf(c.x1), d.sup(c.x1), d.inf(c.x2), d.sup(c.x2)
-    if var == c.x3:  # v >= the least corner product
-        least = min(l1 * l2, l1 * u2, u1 * l2, u1 * u2)
-        return _union([_le_window(values, -1, -least)])
-    l, u = (l2, u2) if var == c.x1 else (l1, u1)
-    u3 = d.sup(c.x3)
-    return _union([_le_window(values, l, u3), _le_window(values, u, u3)])
-
-
-def _alldiff_windows(
-    d: Domain, c: Constraint, var: VarId, values: Sequence[int], hull: SumHull | None
-) -> tuple[range, ...]:
-    fixed = [d.inf(v) for v in c.scope if v != var and d.inf(v) == d.sup(v)]
+def _alldiff_windows(vals: list[Sequence[int]], k: int) -> tuple[range, ...]:
+    fixed = [vs[0] for j, vs in enumerate(vals) if j != k and len(vs) == 1]
     if len(set(fixed)) < len(fixed):
         return ()
-    windows, start = [], 0
+    values, windows, start = vals[k], [], 0
     for f in sorted(fixed):
         windows.append(range(start, bisect_left(values, f)))
         start = bisect_right(values, f)
     return _union(windows + [range(start, len(values))])
 
 
-def closed_form(
-    c: Constraint, notion: ConsistencyNotion
-) -> Callable[..., tuple[range, ...]] | None:
+class _Class(NamedTuple):
+    """A constraint class: its integral support search, its real one (None
+    without a real reading), and its closed-form reader where `reads`."""
+
+    int_support: Callable
+    real_support: Callable | None
+    reader: Callable | None = None
+    reads: Callable[[Constraint, ConsistencyNotion], bool] = lambda c, notion: True
+
+
+_B_Z, _B_R = ConsistencyNotion.BOUNDS_Z, ConsistencyNotion.BOUNDS_R
+_CLASSES = {
+    LinEq: _Class(
+        _linear_support, _real_support_eq, _window,
+        lambda c, n: n is _B_R or n is _B_Z and all(abs(t.coeff) == 1 for t in c.terms),
+    ),
+    LinLe: _Class(_linear_support, _real_via_int, _window),
+    LinNe: _Class(_linear_support, _real_via_int),
+    ReifLinLe: _Class(_reif_support, None),
+    ProductLe: _Class(_product_support, _real_via_int, _product_windows),
+    MonoBij: _Class(_monobij_support, _real_support_monobij),
+    AllDifferent: _Class(
+        _scan_support, _real_support_alldiff, _alldiff_windows, lambda c, n: n is _B_R
+    ),
+    Mod: _Class(_scan_support, None),
+    Table: _Class(_scan_support, None),
+}
+
+
+def closed_form(c: Constraint, notion: ConsistencyNotion) -> Callable | None:
     """The reader of c's supported values at `notion`, or None where each
-    value must be searched.  `reader(d, c, var, values, hull)` gives the
-    positions in `values`, var's in d, of those with a support, as
-    ascending, disjoint, non-empty windows; `hull` is a `SumHull` of c over
-    d for the linear reader, None for the others.  The cases:
+    value must be searched.  For a linear form it is `_window`: var keeps
+    the positions of its values v with lo <= rhs - a*v <= hi, for the least
+    and greatest sum lo, hi of the other terms over the boxes (hi None at
+    `<=`).  The others are `reader(vals, k)`, which gives the positions in
+    vals[k] of those with a support, for vals the values of the scope in
+    order, as ascending, disjoint, non-empty windows.  The cases:
 
     - `<=` at every notion (a least sum over sets, integer boxes or real
       boxes sits at the same integral corners, the sets' ends), `=` at
@@ -638,16 +646,8 @@ def closed_form(
       set of reals, so only the other variables' point boxes F collide; the
       windows lie between the values of F, and none exist if F repeats one.
     """
-    if isinstance(c, LinLe) or isinstance(c, LinEq) and (
-        notion is ConsistencyNotion.BOUNDS_R
-        or notion is ConsistencyNotion.BOUNDS_Z and all(abs(t.coeff) == 1 for t in c.terms)
-    ):
-        return _linear_windows
-    if isinstance(c, ProductLe):
-        return _product_windows
-    if isinstance(c, AllDifferent) and notion is ConsistencyNotion.BOUNDS_R:
-        return _alldiff_windows
-    return None
+    entry = _CLASSES[type(c)]
+    return entry.reader if entry.reader and entry.reads(c, notion) else None
 
 
 def support(
@@ -656,7 +656,8 @@ def support(
     """Support verdict for var=value at `notion`; never reads var's own set."""
     if var not in c.scope:
         raise ValueError(f"{var.name} is not a variable of the {type(c).__name__}")
-    return next(_verdicts(d, c, candidates(d, notion), [(var, value)], None))
+    cands = candidates(lambda v: d.get(v).values, notion)
+    return next(_verdicts(d, c, cands, [(var, value)], None))
 
 
 def _verdicts(
@@ -665,11 +666,12 @@ def _verdicts(
     """The support verdict of each (var, value) in pins; witnesses with the
     same values share one Valuation, which is immutable."""
     valuations: dict[tuple | None, Valuation | None] = {None: None}
+    search = _CLASSES[type(c)].int_support
     for var, value in pins:
         if cands is None:
             supported, t = _real_support(d, c, var, value)
         else:
-            t = _find_int_support(c, var, value, cands, tables)
+            t = search(c, var, value, cands, tables)
             supported = t is not None
         if t not in valuations:
             valuations[t] = Valuation(dict(zip(c.scope, t)))
@@ -678,7 +680,7 @@ def _verdicts(
 
 def check(d: Domain, c: Constraint, notion: ConsistencyNotion) -> CheckResult:
     """Every value that `notion` names has a support where `notion` searches."""
-    cands = candidates(d, notion)
+    cands = candidates(lambda v: d.get(v).values, notion)
     if cands is not None:  # each variable's candidates, built once
         cands = {v: cands(v) for v in c.scope}.__getitem__
     pins = [(v, value) for v in c.scope for value in needs_support(d.get(v), notion)]

@@ -204,12 +204,14 @@ def cmd_bench(args) -> int:
         if args.notions
         else list(ConsistencyNotion)
     )
-    print("instance,notion,nodes,failures,solutions,pruned,micros")
+    models = []  # every file parses before any row prints
     for path in sorted(corpus.glob("*.model")):
         try:
-            m = parse_model(path.read_text())
+            models.append((path, parse_model(path.read_text())))
         except ParseError as e:
             raise ValueError(f"{path.name}: {e}") from None  # main exits 2
+    print("instance,notion,nodes,failures,solutions,pruned,micros")
+    for path, m in models:
         for notion in notions:
             try:  # a model may not allow the notion; a bad --limit ends the run
                 forced = _with_notion(m, notion)

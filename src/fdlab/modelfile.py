@@ -68,15 +68,18 @@ _SYMBOLS = {"eq": "=", "le": "<=", "ne": "!="}  # linear relation -> model-file 
 
 
 def _parse_set(text: str) -> IntSet:
-    if text[0] + text[-1] == "[]" and text.count(",") == 1:
-        lo, hi = text[1:-1].split(",")
-        return IntSet.interval(int(lo), int(hi))
-    if text[0] + text[-1] == "{}":
-        values = [int(p) for p in text[1:-1].split(",")]
-        if len(set(values)) != len(values):  # IntSet.of would merge them
-            raise ValueError(f"duplicate values in {text!r}")
-        return IntSet.of(values)
-    raise ValueError(f"expected [lo,hi] or {{v1,v2,...}}, got {text!r}")
+    shape = text[0] + text[-1]
+    if shape not in ("[]", "{}") or shape == "[]" and text.count(",") != 1:
+        raise ValueError(f"expected [lo,hi] or {{v1,v2,...}}, got {text!r}")
+    try:
+        values = list(map(int, text[1:-1].split(",")))
+    except ValueError:
+        raise ValueError(f"bad value set {text!r}") from None
+    if shape == "[]":
+        return IntSet.interval(*values)
+    if len(set(values)) != len(values):  # IntSet.of would merge them
+        raise ValueError(f"duplicate values in {text!r}")
+    return IntSet.of(values)
 
 
 class _Vars(dict):

@@ -8,10 +8,13 @@ notions trim unsupported values from both ends (which keeps interior holes
 intact, so bounds results are range-shaped prunings of the input).  Which
 values need support and where supports are searched come from the notion
 table in `checkers`.  Deletion order does not affect the result; the test
-suite certifies this against an exhaustive deletion-order oracle.  The
-values a result lost are the slices before and after the run of old values
-it kept; only a `domain` revise that opens new holes is compared value by
-value.
+suite certifies this against an exhaustive deletion-order oracle.
+
+Each (constraint, notion) is compiled once, on its first run, into a
+`Propagator`.  A run revises positions of a local list of the scope's
+value tuples and builds one `Domain` at the end.  What a set lost is the
+slices before and after the run of old values it kept; only a `domain`
+revise that opens new holes is compared value by value.
 
 Points are never revised: any support of a free variable's value gives
 each point its one value, so it supports that value too.  Once every
@@ -24,12 +27,11 @@ scope of points is one `holds`, and `!=` with two free variables is kept,
 since each value meets two sums, one per candidate of another free term.
 bounds(R) without real semantics raises first.
 
-Some cases are revised in closed form, with no support query per value:
-`checkers.closed_form`, asked once per call, lists them and gives a reader
-of the supported values as a union of windows, which the domain notion
-keeps and the bounds notions span.  A linear revise keeps one
-`checkers.SumHull` for the whole call, updated when a term narrows, so
-that each window costs O(1) sum arithmetic.
+The cases of `checkers.closed_form` are revised with no support query per
+value: their reader gives the supported values as a union of windows,
+which the domain notion keeps and the bounds notions span.  A linear run
+keeps each term's least and greatest contribution in two lists, updated
+when the term narrows, so that each revise is one `_window` call.
 
 propagate_linear_br() is the pass-based shave for linear constraints: O(n)
 bound shaving per pass with exact rational division and inward rounding.
@@ -44,19 +46,29 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import getitem, mul
 from typing import Iterable
 
 from .checkers import (
     ConsistencyNotion,
-    SumHull,
     _find_int_support,
-    _linear_windows,
     _real_support,
+    _window,
     candidates,
     closed_form,
 )
 from .constraints import Constraint, LinEq, LinLe, LinNe, RealSemanticsUndefined
 from .domains import Domain, IntSet, VarId
+
+
+def _lost(old: tuple[int, ...], new: tuple[int, ...]) -> tuple[int, ...]:
+    """The values of old that new, a shorter subsequence of it, lacks."""
+    i = bisect_left(old, new[0])
+    j = i + len(new)
+    if old[j - 1] == new[-1]:  # new is old[i:j]
+        return old[:i] + old[j:]
+    kept = set(new)
+    return tuple(x for x in old if x not in kept)
 
 
 @dataclass(frozen=True)
@@ -78,25 +90,126 @@ class PropagationResult:
         cls, before: Domain, after: Domain | None, vars_: Iterable[VarId]
     ) -> "PropagationResult":
         """`after`, with the values of `vars_` it lost from `before`; each
-        set of `after` is a subset of the one in `before`.
-
-        A set that is one run of the old values (every bounds result is)
-        loses the two slices around that run; only a set with new holes
-        is compared value by value."""
+        set of `after` is a subset of the one in `before`."""
         if after is None or after is before:
             return cls(after, ())
         pruned = []
         for v in sorted(set(vars_)):
             old, new = before.get(v).values, after.get(v).values
             if len(new) < len(old):
-                i = bisect_left(old, new[0])
-                j = i + len(new)
-                if old[j - 1] == new[-1]:  # new is old[i:j]
-                    pruned.append((v, old[:i] + old[j:]))
-                else:
-                    kept = set(new)
-                    pruned.append((v, tuple(x for x in old if x not in kept)))
+                pruned.append((v, _lost(old, new)))
         return cls(after, tuple(pruned))
+
+
+class Propagator:
+    """A constraint at one notion, compiled: the scope as indices into a
+    domain's sets (`idx`) and its positions by variable (`order`), the
+    closed-form `reader` or None, and for the linear form its `coeffs`,
+    `rhs`, `eq` (whether the sum must also reach rhs) and the end (0 or -1)
+    of each term's values where it contributes least (`low`) and most
+    (`high`).  It holds no reference to the constraint, which keeps it
+    outside its fields (see `propagate`)."""
+
+    def __init__(self, c: Constraint, notion: ConsistencyNotion) -> None:
+        if notion is ConsistencyNotion.BOUNDS_R and not c.real:
+            raise RealSemanticsUndefined(
+                f"{type(c).__name__} has no real semantics; bounds(R) undefined"
+            )
+        self.notion, self.scope, self.reader = notion, c.scope, closed_form(c, notion)
+        self.idx = tuple(v.index for v in c.scope)
+        self.order = sorted(range(len(c.scope)), key=c.scope.__getitem__)
+        self.ne = isinstance(c, LinNe)
+        if self.reader is _window:
+            self.coeffs, self.rhs, self.eq = tuple(t.coeff for t in c.terms), c.rhs, c.op == "eq"
+            self.low = tuple(0 if a > 0 else -1 for a in self.coeffs)
+            self.high = tuple(-1 - end for end in self.low)
+
+    def run(self, d: Domain, c: Constraint) -> PropagationResult:
+        """The revise loop of the module doc; `free` drops each position
+        that becomes a point."""
+        vals = [d.sets[i].values for i in self.idx]
+        free = [k for k, vs in enumerate(vals) if len(vs) > 1]
+        if not free:
+            return PropagationResult(d if c.holds(tuple(vs[0] for vs in vals)) else None, ())
+        if len(free) > 1 and self.ne:
+            return PropagationResult(d, ())
+        notion, reader, scope = self.notion, self.reader, self.scope
+        linear, box, point = reader is _window, None, []
+        if linear:
+            coeffs, rhs, eq, low, high = self.coeffs, self.rhs, self.eq, self.low, self.high
+            lo = list(map(mul, coeffs, map(getitem, vals, low)))
+            hi = list(map(mul, coeffs, map(getitem, vals, high)))
+            least, most = sum(lo), sum(hi)
+        elif reader is None:
+            cands = candidates(lambda v: vals[scope.index(v)], notion)
+            box = d if cands is None else None  # the real search reads a Domain
+
+            # Reads k, free, vals and box as they stand.  Not checkers.support:
+            # both searches are looked up here at call time, so profilers can
+            # wrap them.
+            def supported(value: int) -> bool:
+                if len(free) == 1:  # k is free, every other position a point
+                    if not point:
+                        point.extend(vs[0] for vs in vals)
+                    point[k] = value
+                    return c.holds(tuple(point))
+                if box is not None:
+                    return _real_support(box, c, scope[k], value)[0]
+                return _find_int_support(c, scope[k], value, cands) is not None
+
+        stable = i = 0
+        while stable < len(free):
+            k = free[i % len(free)]
+            i += 1
+            values = vals[k]
+            if linear:  # at <=, rhs - lo[k] is the greatest rhs - a*v
+                rest_hi = most - hi[k] if eq else rhs - lo[k]
+                w = _window(values, coeffs[k], rhs, least - lo[k], rest_hi)
+                kept = values[w.start : w.stop]
+            elif reader is not None:
+                windows = reader(vals, k)
+                if notion is ConsistencyNotion.DOMAIN and len(windows) > 1:
+                    kept = tuple(chain.from_iterable(values[w.start : w.stop] for w in windows))
+                else:  # the bounds notions keep the holes between windows
+                    kept = values[windows[0].start : windows[-1].stop] if windows else ()
+            elif notion is ConsistencyNotion.DOMAIN:
+                kept = tuple(x for x in values if supported(x))
+            else:
+                first, last = 0, len(values) - 1
+                while first <= last and not supported(values[first]):
+                    first += 1
+                while last > first and not supported(values[last]):
+                    last -= 1
+                kept = values[first : last + 1]
+            if len(kept) == len(values):
+                stable += 1
+                continue
+            if not kept:
+                return PropagationResult(None, ())
+            vals[k] = kept
+            if linear:
+                l, h = coeffs[k] * kept[low[k]], coeffs[k] * kept[high[k]]
+                least, most = least + l - lo[k], most + h - hi[k]
+                lo[k], hi[k] = l, h
+            elif box is not None:
+                box = self._result(d, vals).domain
+            stable = 1
+            if len(kept) == 1:  # a point now: every other free variable is due
+                free.remove(k)
+                stable = 0
+        return self._result(d, vals)
+
+    def _result(self, d: Domain, vals: list[tuple[int, ...]]) -> PropagationResult:
+        """d with the scope's sets narrowed to vals, and what each lost."""
+        sets, idx = d.sets, self.idx
+        changed = [k for k in self.order if vals[k] is not sets[idx[k]].values]
+        if not changed:
+            return PropagationResult(d, ())
+        new = list(sets)
+        for k in changed:
+            new[idx[k]] = IntSet._unchecked(vals[k])
+        pruned = tuple((self.scope[k], _lost(sets[idx[k]].values, vals[k])) for k in changed)
+        return PropagationResult(Domain(tuple(new)), pruned)
 
 
 def propagate(
@@ -108,68 +221,11 @@ def propagate(
     round-robin until every one has been revised since the last narrowing;
     from the point where one is left, `holds` decides its values.  bounds(R)
     on a constraint without real semantics raises RealSemanticsUndefined.
+    c's `Propagator` at `notion` is built on its first run and kept on c,
+    outside its fields, so that it is in no repr, == or hash.
     """
-    cands = candidates(d, notion)
-    if cands is None and not c.real:
-        raise RealSemanticsUndefined(
-            f"{type(c).__name__} has no real semantics; bounds(R) undefined"
-        )
-    free = [v for v in c.scope if not d.sets[v.index].is_singleton]
-    if not free:
-        return PropagationResult(d if c.holds(tuple(d.inf(v) for v in c.scope)) else None, ())
-    if len(free) > 1 and isinstance(c, LinNe):
-        return PropagationResult(d, ())
-    form = closed_form(c, notion)
-    hull = SumHull(d, c) if form is _linear_windows else None
-
-    # Reads var, d and cands as they stand.  Not checkers.support: both
-    # searches are looked up here at call time, so profilers can wrap them.
-    def supported(value: int) -> bool:
-        if point is not None:  # var is the one free variable
-            point[c.scope.index(var)] = value
-            return c.holds(tuple(point))
-        if cands is None:
-            return _real_support(d, c, var, value)[0]
-        return _find_int_support(c, var, value, cands) is not None
-
-    # `free` drops each variable that becomes a point
-    before, point = d, None
-    stable = i = 0
-    while stable < len(free):
-        if len(free) == 1 and point is None:  # on entry or after a narrowing
-            point = [d.inf(v) for v in c.scope]
-        var = free[i % len(free)]
-        i += 1
-        values = d.get(var).values
-        if form is not None:
-            windows = form(d, c, var, values, hull)
-            if notion is ConsistencyNotion.DOMAIN and len(windows) > 1:
-                kept = tuple(chain.from_iterable(values[w.start : w.stop] for w in windows))
-            else:  # the bounds notions keep the holes between windows
-                kept = values[windows[0].start : windows[-1].stop] if windows else ()
-        elif notion is ConsistencyNotion.DOMAIN:
-            kept = tuple(x for x in values if supported(x))
-        else:
-            lo, hi = 0, len(values) - 1
-            while lo <= hi and not supported(values[lo]):
-                lo += 1
-            while hi > lo and not supported(values[hi]):
-                hi -= 1
-            kept = values[lo : hi + 1]
-        if len(kept) == len(values):
-            stable += 1
-            continue
-        if not kept:
-            return PropagationResult(None, ())
-        d = d.with_set(var, IntSet._unchecked(kept))
-        cands = candidates(d, notion)
-        if hull is not None:
-            hull.narrow(var, d.get(var))
-        stable = 1
-        if len(kept) == 1:  # a point now: every other free variable is due
-            free.remove(var)
-            stable = 0
-    return PropagationResult.between(before, d, c.scope)
+    kept = vars(c).setdefault("_propagators", {})
+    return (kept.get(notion) or kept.setdefault(notion, Propagator(c, notion))).run(d, c)
 
 
 def _shave_bounds(
@@ -217,12 +273,8 @@ def propagate_linear_br(d: Domain, c: Constraint) -> PropagationResult:
         raise ValueError("propagate_linear_br only handles linear constraints")
     if isinstance(c, LinNe):
         return propagate(d, c, ConsistencyNotion.BOUNDS_R)
-    before = d
+    before, prev = d, None
     terms = [(t.var, t.coeff) for t in c.terms]
-    while d is not None:
-        nxt = _shave_bounds(d, terms, c.rhs, isinstance(c, LinEq))
-        if nxt is None or nxt is d or nxt.sets == d.sets:
-            d = nxt
-            break
-        d = nxt
+    while d is not None and d is not prev:  # a pass that shaves nothing returns d
+        d, prev = _shave_bounds(d, terms, c.rhs, isinstance(c, LinEq)), d
     return PropagationResult.between(before, d, (t.var for t in c.terms))

@@ -5,13 +5,15 @@ them."""
 
 import hashlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import fdlab.propagators
-from fdlab import IntSet, check, checkers, parse_model, propagate_all, trace
-from fdlab.checkers import ConsistencyNotion
+from fdlab import Domain, IntSet, check, checkers, parse_model, propagate_all, trace
+from fdlab.checkers import ConsistencyNotion, _window
+from fdlab.propagators import Propagator
 
 _PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 _SPEC = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
@@ -90,6 +92,48 @@ def test_wide_fixpoint_narrowings_are_not_checked_again(monkeypatch):
     for model in models:
         assert not propagate_all(model).failed
     assert builds[0] == 0
+
+
+def test_wide_fixpoint_compiles_once_and_builds_one_domain_per_linear_run(monkeypatch):
+    """`propagate_all` on the first 40 seed-1 wide-fixpoint models, twice:
+    each (constraint, notion) is compiled at most once, and a linear run
+    that changes the domain builds exactly one `Domain` (one per narrowing,
+    through `with_set`, before the runs were compiled), one that does not
+    builds none, and none calls `with_set`."""
+    workload = workloads.WORKLOADS["wide-fixpoint"]()
+    models = [model for _, model in workload.prepare(workload.generate(1)[:40])]
+    compiled, built, linear = Counter(), Counter(), Counter()
+
+    def wrap(owner, name, before):
+        fn = getattr(owner, name)
+
+        def wrapped(self, *args):
+            before(self, *args)
+            return fn(self, *args)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    wrap(Propagator, "__init__", lambda p, c, notion: compiled.update([(id(c), notion)]))
+    wrap(Domain, "__init__", lambda d, sets: built.update(["Domain"]))
+    wrap(Domain, "with_set", lambda d, var, s: built.update(["with_set"]))
+    run = Propagator.run
+
+    def counted_run(p, d, c):
+        before = built.copy()
+        res = run(p, d, c)
+        if p.reader is _window:
+            linear["runs"] += 1
+            linear["changed"] += bool(res.pruned)
+            assert built - before == Counter(Domain=bool(res.pruned))
+        return res
+
+    monkeypatch.setattr(Propagator, "run", counted_run)
+    for _ in range(2):
+        for model in models:
+            assert not propagate_all(model).failed
+    assert len(compiled) == sum(len(m.constraints) for m in models) == 320
+    assert set(compiled.values()) == {1}
+    assert linear["runs"] > linear["changed"] > 0 and built["with_set"] == 0
 
 
 def test_solve_csp_requests_check_no_set_past_the_parser(monkeypatch):

@@ -295,9 +295,10 @@ def test_bench_names_the_corpus_file_that_does_not_parse(tmp_path, capsys):
     corpus.mkdir()
     (corpus / "a.model").write_text(corpus_model(0))
     (corpus / "bad.model").write_text("var x in [0,1]\nconstraint c1: frob x\n")
-    code, _, err = run(capsys, "bench", str(corpus))
+    code, out, err = run(capsys, "bench", str(corpus))
     assert code == 2
     assert err == "error: bad.model: line 2: unknown constraint kind 'frob'\n"
+    assert out == ""  # not a partial CSV
 
 
 def test_bench_skips_a_notion_the_model_does_not_allow(tmp_path, capsys):

@@ -136,6 +136,9 @@ def test_negative_coefficient_first_term():
         ("var x in [0,1]\nvar y in [0,1]\nconstraint c1: lineq 1*x 2*y = 0\n", 3),
         ("var x in [0,1]\nconstraint c1: alldifferent x\n", 2),
         ("var x in [0,1]\nconstraint c1 linle 1*x <= 0\n", 2),
+        # a bad member is reported with the whole set
+        ("var x in [a,3]\n", 1),
+        ("var x in [0,1]\nvar y in {1, 2,x}\n", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
@@ -143,6 +146,15 @@ def test_parse_errors_carry_line_numbers(text, line):
         parse_model(text)
     assert err.value.line_no == line
     assert f"line {line}:" in str(err.value)
+    assert _MESSAGES.get(text, "") in str(err.value)
+
+
+_MESSAGES = {
+    "var x in {}\n": "bad value set '{}'",
+    "var x in {1,,2}\n": "bad value set '{1,,2}'",
+    "var x in [a,3]\n": "bad value set '[a,3]'",
+    "var x in [0,1]\nvar y in {1, 2,x}\n": "bad value set '{1, 2,x}'",
+}
 
 
 def test_linear_expression_errors():

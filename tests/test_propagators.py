@@ -12,6 +12,7 @@ from conftest import (
     random_domain,
     random_int_constraint,
     random_linear,
+    random_set,
 )
 from fdlab import (
     Affine,
@@ -33,17 +34,11 @@ from fdlab import (
     propagate,
     propagate_linear_br,
 )
-from fdlab.checkers import (
-    ConsistencyNotion,
-    SumHull,
-    _linear_windows,
-    check,
-    closed_form,
-    support,
-)
+from fdlab.checkers import ConsistencyNotion, _window, check, closed_form, support
 from fdlab.constraints import UNDEFINED, AllDifferent, real_defined, sat_real, vars_of
 from fdlab.domains import INT64_MAX, INT64_MIN, member_box
 from fdlab.oracle import _real_support_exists, oracle_fixpoint
+from fdlab.propagators import Propagator
 
 X1, X2, X3 = make_vars(3)
 C_LIN = LinEq((LinTerm(1, X1), LinTerm(-3, X2), LinTerm(-5, X3)), 0)
@@ -484,6 +479,19 @@ def test_closed_form_product_and_alldifferent_revise_equals_per_value_peeling():
     assert all(seen.values()), seen
 
 
+def _windows(p, vals, k):
+    """The windows that compiled propagator p reads for position k of vals,
+    the values of its scope; the linear form is read over the hull of the
+    other terms, which a linear run keeps in two lists."""
+    if p.reader is not _window:
+        return p.reader(vals, k)
+    ends = [sorted((a * vs[0], a * vs[-1])) for a, vs in zip(p.coeffs, vals)]
+    lo = sum(e[0] for j, e in enumerate(ends) if j != k)
+    hi = sum(e[1] for j, e in enumerate(ends) if j != k)
+    w = _window(vals[k], p.coeffs[k], p.rhs, lo, hi if p.eq else None)
+    return (w,) if w else ()
+
+
 def test_supported_windows_hold_exactly_the_supported_values():
     rng = fresh_rng(29)
     answered = 0
@@ -498,17 +506,68 @@ def test_supported_windows_hold_exactly_the_supported_values():
             c = random_linear(rng, vs, kinds=(LinEq, LinLe))
         d = random_domain(rng, len(vs), lo=-6, hi=6, max_size=rng.choice([1, 2, 4, 6]))
         for notion in NOTIONS:
-            form = closed_form(c, notion)
-            if form is None:
+            p = Propagator(c, notion)
+            if p.reader is None:
                 continue
-            for var in vs:
-                values = d.get(var).values
-                hull = SumHull(d, c) if form is _linear_windows else None
+            vals = [d.sets[i].values for i in p.idx]
+            for k, var in enumerate(c.scope):
+                values = vals[k]
                 answered += 1
-                got = [k for w in form(d, c, var, values, hull) for k in w]
-                want = [k for k, x in enumerate(values) if support(d, c, notion, var, x).supported]
+                got = [j for w in _windows(p, vals, k) for j in w]
+                want = [j for j, x in enumerate(values) if support(d, c, notion, var, x).supported]
                 assert got == want, (c, d, notion, var)
     assert answered > 1000
+
+
+def _random_case(rng):
+    """A random constraint of any class, its scope in random order, over a
+    domain of a random shape: small sets, all points, one free variable, or
+    wide boxes far from 0."""
+    shape = rng.choice(["sets", "points", "one free", "wide"])
+    vs = make_vars(rng.randint(1, 3 if shape == "wide" else 4))
+    c = random_int_constraint(rng, rng.sample(vs, len(vs)))  # scope in any order
+    if shape == "wide" and not isinstance(c, (Mod, Table)):  # no product scans
+        base = rng.choice([0, -(10**6), 10**6, INT64_MAX // 8])
+        sets = []
+        for _ in vs:
+            lo = base + rng.randint(-40, 40)
+            sets.append(IntSet.interval(lo, lo + rng.randint(0, 60)))
+        return c, Domain(tuple(sets)), shape
+    shape = "sets" if shape == "wide" else shape
+    sizes = {"sets": 5, "points": 1, "one free": 1}
+    d = random_domain(rng, len(vs), max_size=sizes[shape])
+    if shape == "one free":
+        d = d.with_set(rng.choice(vs), random_set(rng, max_size=6))
+    return c, d, shape
+
+
+def test_compiled_propagators_equal_peeling_and_the_oracle():
+    # Each run of a compiled propagator, on thousands of random constraints
+    # of every class at all four notions, equals per-value peeling, and the
+    # deletion-order oracle where the sets hold at most 7 values in all;
+    # `pruned` lists what each variable lost, in variable order.
+    rng = fresh_rng(43)
+    seen = {cls: 0 for cls in (LinEq, LinLe, LinNe, AllDifferent, ProductLe, MonoBij, Mod,
+                               ReifLinLe, Table)}
+    seen.update({"sets": 0, "points": 0, "one free": 0, "wide": 0, "negative": 0, "oracle": 0})
+    for _ in range(2500):
+        c, d, shape = _random_case(rng)
+        seen[type(c)] += 1
+        seen[shape] += 1
+        seen["negative"] += any(t.coeff < 0 for t in getattr(c, "terms", ()))
+        small = shape != "wide" and sum(d.get(v).size for v in c.scope) <= 7
+        for notion in NOTIONS if c.real else NOTIONS[:3]:
+            got = propagate(d, c, notion)
+            assert got.domain == _peeled_fixpoint(d, c, notion), (c, d, notion)
+            if small:
+                seen["oracle"] += 1
+                assert got.domain == oracle_fixpoint(d, c, notion), (c, d, notion)
+            if got.failed:
+                continue
+            lost = [(v, tuple(x for x in d.get(v) if x not in got.domain.get(v)))
+                    for v in sorted(c.scope)]
+            assert got.pruned == tuple((v, gone) for v, gone in lost if gone), (c, d, notion)
+    assert all(seen.values()), seen
 
 
 def test_product_revise_keeps_both_sides_of_a_gap():
@@ -532,7 +591,7 @@ def test_alldifferent_real_revise_fails_on_colliding_points():
     d = dom3([2], [2], range(1, 6))
     assert propagate(d, c, ConsistencyNotion.BOUNDS_R).failed
     # x3 alone sees no value: x1 and x2 collide whatever x3 takes
-    assert closed_form(c, ConsistencyNotion.BOUNDS_R)(d, c, X3, d.get(X3).values, None) == ()
+    assert closed_form(c, ConsistencyNotion.BOUNDS_R)([s.values for s in d.sets], 2) == ()
     res = propagate(dom3([2], [4], [2, 3, 4]), c, ConsistencyNotion.BOUNDS_R)
     assert res.domain == dom3([2], [4], [3])
 
