@@ -9,22 +9,23 @@ states them:
     bounds-z   inf and sup              the integer boxes [inf, sup]
     bounds-r   inf and sup              the real boxes [inf, sup]
 
-`needs_support` gives the first column, `candidates` the second (None for
-the real boxes), `sees_holes` whether the second column reads the sets.
+`needs_support` gives the first column, `candidates` the second (at
+bounds(Z) and bounds(R) the integer boxes as ranges, whose ends bound the
+real boxes), `sees_holes` whether the second column reads the sets.
 `check` is one loop over the variables and the values needing support; the
 propagators and the engine read the same three functions.  Beside them,
 one table keyed by constraint class (`_CLASSES`) gives each class's
-integer and real support searches and its closed-form reader, with the
-cases where a notion's supported values are a union of windows read off
-the other variables' ends, which `propagate` keeps instead of asking each
-value (`closed_form`).
+support searches, which all read the same candidates, and its closed-form
+reader, with the cases where a notion's supported values are a union of
+windows read off the other variables' ends, which `propagate` keeps
+instead of asking each value (`closed_form`).
 
 The reported integer support is the lexicographically first one, with
 each variable's candidates in ascending order.  A linear or bilinear form
 takes its least and greatest values over a box at integral corners, and
 x1 = g(x2) with x2 pinned has the one support g(value), so for these the
-real supports are the integer ones over the boxes.  `_real_support` keeps
-a search of its own, exact over rationals, only where bounds(R) differs
+real supports are the integer ones over the boxes.  A class has a real
+search of its own, exact over rationals, only where bounds(R) differs
 from bounds(Z): `=` (exact division), alldifferent (a box of positive
 length avoids any finite set of points) and x1 = g(x2) with x1 pinned
 (its preimage may be irrational).  No floating point anywhere.  A support
@@ -458,16 +459,16 @@ def _product_support(
 RealSupport = tuple[bool, tuple[int | Fraction, ...] | None]
 
 
-def _real_support_eq(d: Domain, c: LinEq, pin: VarId, value: int) -> RealSupport:
+def _real_support_eq(c, pin, value, candidates, tables=None) -> RealSupport:
     # The integer walk over the real boxes: each variable takes the least
     # value its window allows, dividing exactly where the integer one rounds.
-    boxes, coeffs, own = _pinned_linear(c, pin, lambda v: (d.inf(v), d.sup(v)))
+    boxes, coeffs, own = _shared(tables, "pin", _pinned_linear, c, pin, candidates)
     rest = c.rhs - own * value
     hull = _hull(boxes, coeffs)
     if not hull[0][0] <= rest <= hull[0][1]:
         return False, None
     chosen: list[int | Fraction] = []
-    for a, (l, _), (lo, hi) in zip(coeffs, boxes, hull[1:]):
+    for a, l, (lo, hi) in zip(coeffs, [vs[0] for vs in boxes], hull[1:]):
         # the least x in the box with lo <= rest - a*x <= hi
         if a < 0:
             x = l if a * l + lo <= rest else Fraction(rest - lo, a)
@@ -479,14 +480,13 @@ def _real_support_eq(d: Domain, c: LinEq, pin: VarId, value: int) -> RealSupport
     return True, tuple(chosen)
 
 
-def _real_support_alldiff(
-    d: Domain, c: AllDifferent, pin: VarId, value: int
-) -> RealSupport:
+def _real_support_alldiff(c, pin, value, candidates, tables=None) -> RealSupport:
     # A box of positive length holds unboundedly many reals, so collisions
     # can only be forced among point boxes, pin=value's among them.  Each
     # box of positive length takes the first of m + 3 evenly spaced points
     # in it that the m values used so far miss.
-    boxes = [(value, value) if v == pin else (d.inf(v), d.sup(v)) for v in c.scope]
+    pools = ((value,) if v == pin else candidates(v) for v in c.scope)
+    boxes = [(vs[0], vs[-1]) for vs in pools]
     used = {l for l, u in boxes if l == u}
     if len(used) < sum(l == u for l, u in boxes):
         return False, None
@@ -502,19 +502,13 @@ def _real_support_alldiff(
     return True, tuple(chosen)
 
 
-def _real_via_int(d: Domain, c: Constraint, pin: VarId, value: int) -> RealSupport:
-    # the real supports of these are their integer ones (see the module doc)
-    boxes = candidates(lambda v: d.get(v).values, ConsistencyNotion.BOUNDS_Z)
-    t = _find_int_support(c, pin, value, boxes)
-    return t is not None, t
-
-
-def _real_support_monobij(d: Domain, c: MonoBij, pin: VarId, value: int) -> RealSupport:
+def _real_support_monobij(c, pin, value, candidates, tables=None) -> RealSupport:
     # x1 = value: supported iff value lies between g's values at x2's ends;
     # its one preimage may be irrational, and then no witness is given
-    if pin != c.x1:
-        return _real_via_int(d, c, pin, value)
-    l2, u2 = d.inf(c.x2), d.sup(c.x2)
+    if pin != c.x1:  # x2 pinned: the one support g(value) is integral
+        t = _monobij_support(c, pin, value, candidates)
+        return t is not None, t
+    l2, u2 = candidates(c.x2)[0], candidates(c.x2)[-1]
     if c.func.nonneg:
         l2 = max(l2, 0)
         if l2 > u2:
@@ -527,14 +521,21 @@ def _real_support_monobij(d: Domain, c: MonoBij, pin: VarId, value: int) -> Real
     return True, ((value, inv) if inv is not None and l2 <= inv <= u2 else None)
 
 
-def _real_support(d: Domain, c: Constraint, pin: VarId, value: int) -> RealSupport:
-    """Whether pin=value has a support in the real boxes, with the values of
-    a rational one in vars_of(c) order where one exists."""
+def _real_support(
+    c: Constraint, pin: VarId, value: int, candidates: CandidateFn, tables=None
+) -> RealSupport:
+    """Whether pin=value has a support in the real boxes, the ends of the
+    candidates, with the values of a rational one in vars_of(c) order where
+    one exists.  A class without a real search has its integer supports."""
     if not c.real:
         raise RealSemanticsUndefined(
             f"{type(c).__name__} has no real semantics; bounds(R) undefined"
         )
-    return _CLASSES[type(c)].real_support(d, c, pin, value)
+    entry = _CLASSES[type(c)]
+    if entry.real_support is not None:
+        return entry.real_support(c, pin, value, candidates, tables)
+    t = entry.int_support(c, pin, value, candidates, tables)
+    return t is not None, t
 
 
 # --------------------------------------------------------------------------
@@ -553,14 +554,13 @@ def sees_holes(notion: ConsistencyNotion) -> bool:
     return notion in (ConsistencyNotion.DOMAIN, ConsistencyNotion.BOUNDS_D)
 
 
-def candidates(values: CandidateFn, notion: ConsistencyNotion) -> CandidateFn | None:
-    """Where supports are searched, given each variable's values; None
-    stands for the real boxes."""
+def candidates(values: CandidateFn, notion: ConsistencyNotion) -> CandidateFn:
+    """Where supports are searched, given each variable's values: the values
+    themselves, or at bounds(Z) and bounds(R) the integer box [inf, sup] as
+    a range, of which a real search reads only the two ends."""
     if sees_holes(notion):
         return values
-    if notion is ConsistencyNotion.BOUNDS_Z:
-        return lambda v: range(values(v)[0], values(v)[-1] + 1)
-    return None
+    return lambda v: range(values(v)[0], values(v)[-1] + 1)
 
 
 def _union(windows: Sequence[range]) -> tuple[range, ...]:
@@ -595,11 +595,11 @@ def _alldiff_windows(vals: list[Sequence[int]], k: int) -> tuple[range, ...]:
 
 
 class _Class(NamedTuple):
-    """A constraint class: its integral support search, its real one (None
-    without a real reading), and its closed-form reader where `reads`."""
+    """A constraint class: its integral support search, its real one where
+    bounds(R) differs, and its closed-form reader where `reads`."""
 
     int_support: Callable
-    real_support: Callable | None
+    real_support: Callable | None = None
     reader: Callable | None = None
     reads: Callable[[Constraint, ConsistencyNotion], bool] = lambda c, notion: True
 
@@ -610,16 +610,16 @@ _CLASSES = {
         _linear_support, _real_support_eq, _window,
         lambda c, n: n is _B_R or n is _B_Z and all(abs(t.coeff) == 1 for t in c.terms),
     ),
-    LinLe: _Class(_linear_support, _real_via_int, _window),
-    LinNe: _Class(_linear_support, _real_via_int),
-    ReifLinLe: _Class(_reif_support, None),
-    ProductLe: _Class(_product_support, _real_via_int, _product_windows),
+    LinLe: _Class(_linear_support, None, _window),
+    LinNe: _Class(_linear_support),
+    ReifLinLe: _Class(_reif_support),
+    ProductLe: _Class(_product_support, None, _product_windows),
     MonoBij: _Class(_monobij_support, _real_support_monobij),
     AllDifferent: _Class(
         _scan_support, _real_support_alldiff, _alldiff_windows, lambda c, n: n is _B_R
     ),
-    Mod: _Class(_scan_support, None),
-    Table: _Class(_scan_support, None),
+    Mod: _Class(_scan_support),
+    Table: _Class(_scan_support),
 }
 
 
@@ -657,22 +657,20 @@ def support(
     if var not in c.scope:
         raise ValueError(f"{var.name} is not a variable of the {type(c).__name__}")
     cands = candidates(lambda v: d.get(v).values, notion)
-    return next(_verdicts(d, c, cands, [(var, value)], None))
+    return next(_verdicts(c, notion, cands, [(var, value)], None))
 
 
 def _verdicts(
-    d: Domain, c: Constraint, cands: CandidateFn | None, pins: list, tables: dict | None
+    c: Constraint, notion: ConsistencyNotion, cands: CandidateFn, pins: list, tables: dict | None
 ) -> Iterator[SupportWitness]:
     """The support verdict of each (var, value) in pins; witnesses with the
     same values share one Valuation, which is immutable."""
     valuations: dict[tuple | None, Valuation | None] = {None: None}
-    search = _CLASSES[type(c)].int_support
+    real = notion is ConsistencyNotion.BOUNDS_R
+    search = _real_support if real else _CLASSES[type(c)].int_support
     for var, value in pins:
-        if cands is None:
-            supported, t = _real_support(d, c, var, value)
-        else:
-            t = search(c, var, value, cands, tables)
-            supported = t is not None
+        found = search(c, var, value, cands, tables)
+        supported, t = found if real else (found is not None, found)
         if t not in valuations:
             valuations[t] = Valuation(dict(zip(c.scope, t)))
         yield SupportWitness(var, value, supported, valuations[t])
@@ -681,10 +679,9 @@ def _verdicts(
 def check(d: Domain, c: Constraint, notion: ConsistencyNotion) -> CheckResult:
     """Every value that `notion` names has a support where `notion` searches."""
     cands = candidates(lambda v: d.get(v).values, notion)
-    if cands is not None:  # each variable's candidates, built once
-        cands = {v: cands(v) for v in c.scope}.__getitem__
+    cands = {v: cands(v) for v in c.scope}.__getitem__  # built once per variable
     pins = [(v, value) for v in c.scope for value in needs_support(d.get(v), notion)]
-    witnesses = tuple(_verdicts(d, c, cands, pins, tables={}))
+    witnesses = tuple(_verdicts(c, notion, cands, pins, tables={}))
     return CheckResult(all(w.supported for w in witnesses), witnesses)
 
 

@@ -206,28 +206,3 @@ class Valuation(Mapping[VarId, Fraction]):
         )
         return f"Valuation({inner})"
 
-
-def range_of(d: Domain) -> Domain:
-    """Smallest enclosing interval domain: each set becomes [inf, sup]."""
-    return Domain(tuple(IntSet.interval(s.inf, s.sup) for s in d.sets))
-
-
-def is_range(d: Domain) -> bool:
-    return all(s.is_range for s in d.sets)
-
-
-def member(theta: Valuation, d: Domain) -> bool:
-    """True iff theta is integral and every binding lies in its actual set."""
-    for var, q in theta.items():
-        if q.denominator != 1 or q.numerator not in d.get(var):
-            return False
-    return True
-
-
-def member_box(theta: Valuation, d: Domain) -> bool:
-    """True iff every binding (rational allowed) lies within its [inf, sup] box."""
-    for var, q in theta.items():
-        s = d.get(var)
-        if not (s.inf <= q <= s.sup):
-            return False
-    return True

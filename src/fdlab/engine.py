@@ -6,16 +6,17 @@ propagator, or, where the caller states that the domain was narrowed from
 a common fixpoint on a few variables only (`changed`), with the watchers
 of those variables: the others are still at their fixpoint, since every
 propagator is idempotent and reads only its own variables.  Search seeds
-each child node that way with the variable it split.  Each run's bound,
-hole and fixed events are read once off the values it pruned, and serve
-both `trace` and re-queueing: every propagator reacts to bound changes of
-its variables, and only those whose notion searches supports in the
-actual sets (`checkers.sees_holes`: domain, bounds(D)) also react to
-holes.  Filtering is lossless and the fixpoint is queue-order independent;
-both facts are exercised by tests via the `filter_events` and
-`queue_policy` knobs.  The returned `pruned` compares only the variables
-that some run narrowed, so a call costs what changed, not the model's
-size; the others keep their sets.  A failed fixpoint prunes nothing.
+each child node that way with the variable it split.  Re-queueing reads
+the values each run pruned: a variable that lost its inf or sup wakes
+every watcher, and one that lost interior values alone wakes only those
+whose notion searches supports in the actual sets (`checkers.sees_holes`:
+domain, bounds(D)).  Only `trace` classifies them into bound, hole and
+fixed events; a fixed event always comes with a bound one.  Filtering is
+lossless and the fixpoint is queue-order independent; both facts are
+exercised by tests via the `filter_events` and `queue_policy` knobs.  The
+returned `pruned` compares only the variables that some run narrowed, so
+a call costs what changed, not the model's size; the others keep their
+sets.  A failed fixpoint prunes nothing.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ class TraceRecord:
     domain: Domain
 
 
-def _events(d: Domain, scope: tuple[VarId, ...], res: PropagationResult) -> list[Event]:
+def _events(d: Domain, scope: tuple[VarId, ...], res: PropagationResult) -> tuple[Event, ...]:
     """The events of a run from d to res, in scope order; a FIXED event
     always comes with a bound event."""
     lost = dict(res.pruned)
@@ -153,7 +154,7 @@ def _events(d: Domain, scope: tuple[VarId, ...], res: PropagationResult) -> list
             events.append(Event(v, EventKind.HOLE))
         if len(gone) == old.size - 1:
             events.append(Event(v, EventKind.FIXED))
-    return events
+    return tuple(events)
 
 
 def _run(
@@ -180,19 +181,18 @@ def _run(
         queued.discard(i)
         c, notion = m.constraints[i]
         res = propagate(d, c, notion)
-        if res.failed:
+        if res.domain is None:
             return res, records
         if res.pruned:
             touched.update(v for v, _ in res.pruned)
-            events = _events(d, c.scope, res)
             if record:
-                records.append(TraceRecord(m.labels[i], tuple(events), res.domain))
-            for ev in events:
-                for j in m.watchers[ev.var.index]:
-                    if j == i or j in queued:
-                        continue
-                    _, jnotion = m.constraints[j]
-                    if not filter_events or ev.kind is not EventKind.HOLE or sees_holes(jnotion):
+                records.append(TraceRecord(m.labels[i], _events(d, c.scope, res), res.domain))
+            lost = dict(res.pruned)
+            for v in (v for v in c.scope if v in lost):
+                old, gone = d.sets[v.index], lost[v]  # gone is ascending
+                bound = not filter_events or gone[0] == old.inf or gone[-1] == old.sup
+                for j in m.watchers[v.index]:
+                    if j != i and j not in queued and (bound or sees_holes(m.constraints[j][1])):
                         pending.append(j)
                         queued.add(j)
         d = res.domain

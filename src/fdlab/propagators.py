@@ -12,7 +12,8 @@ suite certifies this against an exhaustive deletion-order oracle.
 
 Each (constraint, notion) is compiled once, on its first run, into a
 `Propagator`.  A run revises positions of a local list of the scope's
-value tuples and builds one `Domain` at the end.  What a set lost is the
+value tuples, which every support search reads through `candidates`, at
+bounds(R) too, and builds one `Domain` at the end.  What a set lost is the
 slices before and after the run of old values it kept; only a `domain`
 revise that opens new holes is compared value by value.
 
@@ -134,7 +135,7 @@ class Propagator:
         if len(free) > 1 and self.ne:
             return PropagationResult(d, ())
         notion, reader, scope = self.notion, self.reader, self.scope
-        linear, box, point = reader is _window, None, []
+        linear, point = reader is _window, []
         if linear:
             coeffs, rhs, eq, low, high = self.coeffs, self.rhs, self.eq, self.low, self.high
             lo = list(map(mul, coeffs, map(getitem, vals, low)))
@@ -142,9 +143,9 @@ class Propagator:
             least, most = sum(lo), sum(hi)
         elif reader is None:
             cands = candidates(lambda v: vals[scope.index(v)], notion)
-            box = d if cands is None else None  # the real search reads a Domain
+            real = notion is ConsistencyNotion.BOUNDS_R
 
-            # Reads k, free, vals and box as they stand.  Not checkers.support:
+            # Reads k, free and vals as they stand.  Not checkers.support:
             # both searches are looked up here at call time, so profilers can
             # wrap them.
             def supported(value: int) -> bool:
@@ -153,8 +154,8 @@ class Propagator:
                         point.extend(vs[0] for vs in vals)
                     point[k] = value
                     return c.holds(tuple(point))
-                if box is not None:
-                    return _real_support(box, c, scope[k], value)[0]
+                if real:
+                    return _real_support(c, scope[k], value, cands)[0]
                 return _find_int_support(c, scope[k], value, cands) is not None
 
         stable = i = 0
@@ -191,8 +192,6 @@ class Propagator:
                 l, h = coeffs[k] * kept[low[k]], coeffs[k] * kept[high[k]]
                 least, most = least + l - lo[k], most + h - hi[k]
                 lo[k], hi[k] = l, h
-            elif box is not None:
-                box = self._result(d, vals).domain
             stable = 1
             if len(kept) == 1:  # a point now: every other free variable is due
                 free.remove(k)

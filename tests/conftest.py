@@ -1,4 +1,5 @@
-"""Shared seeded-random instance generators for the property suites.
+"""Shared seeded-random instance generators for the property suites, and
+the domain and valuation predicates the tests read.
 
 Every generator takes an explicit random.Random so each test controls its
 own seed; default value ranges stay within [-10, 10].
@@ -99,3 +100,29 @@ def random_int_constraint(rng, vs):
 
 def fresh_rng(seed):
     return random.Random(seed)
+
+
+def range_of(d):
+    """Smallest enclosing interval domain: each set becomes [inf, sup]."""
+    return Domain(tuple(IntSet.interval(s.inf, s.sup) for s in d.sets))
+
+
+def is_range(d):
+    return all(s.is_range for s in d.sets)
+
+
+def member(theta, d):
+    """True iff theta is integral and every binding lies in its actual set."""
+    for var, q in theta.items():
+        if q.denominator != 1 or q.numerator not in d.get(var):
+            return False
+    return True
+
+
+def member_box(theta, d):
+    """True iff every binding (rational allowed) lies within its [inf, sup] box."""
+    for var, q in theta.items():
+        s = d.get(var)
+        if not (s.inf <= q <= s.sup):
+            return False
+    return True

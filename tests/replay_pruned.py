@@ -10,11 +10,18 @@ answers in a child process of its own, with its own `src/` and
 - wide-fixpoint: `parse` (the parsed `Model`), `propagate_all` at fifo and
   lifo, and `trace`;
 - solve-csp: `parse`, `solve` (solutions and stats), `propagate_all` at fifo
-  and lifo, `trace`, and `propagate` of each constraint on the initial domain;
+  and lifo, `trace`, and, for each constraint on the initial domain,
+  `propagate` at its own notion and `check` (verdict and witnesses) at each
+  notion its class allows;
 - subsetsum-check: the request's answer and the full bounds(Z) `check`.
 
 Both checkouts also parse every file under this checkout's `models/` and
 `tests/hostile/`: the answer is the `Model`, or the line of the ParseError.
+For each constraint of a `models/*.model` file they answer `check` and
+`propagate` on the initial domain at all four notions; where bounds(R) is
+undefined, the answer is the class name of the exception raised.  The
+`check` answers at bounds(R) are the only ones that reach a real support
+search.
 
 A child prints one SHA-256 digest of `repr` per answer; the script reports
 the first answer that differs, and exits 1 if any does.  It is not a test
@@ -45,6 +52,9 @@ def _answers(fdlab, workloads, name: str, item):
         for c, notion in model.constraints:
             res = fdlab.propagate(model.initial, c, notion)
             yield "propagate", (res.pruned, res.domain)
+            for each in fdlab.ConsistencyNotion:
+                if c.real or each is not fdlab.ConsistencyNotion.BOUNDS_R:
+                    yield f"check-{each.value}", fdlab.check(model.initial, c, each)
     else:
         _, domain, constraint = item
         yield "request", workloads.WORKLOADS[name]().request(item)
@@ -80,6 +90,17 @@ def emit(root: Path, seeds: list[int]) -> None:
         except fdlab.ParseError as e:
             answer = ("ParseError", e.line_no)
         _print("files", "-", path.relative_to(HERE), "parse", answer)
+    for path in sorted((HERE / "models").glob("*.model")):
+        model = fdlab.parse_model(path.read_text())
+        for c, _ in model.constraints:
+            for notion in fdlab.ConsistencyNotion:
+                for verb in (fdlab.check, fdlab.propagate):
+                    try:
+                        answer = verb(model.initial, c, notion)
+                    except fdlab.RealSemanticsUndefined as e:
+                        answer = type(e).__name__
+                    label = f"{verb.__name__}-{notion.value}"
+                    _print("files", "-", path.relative_to(HERE), label, answer)
 
 
 def _print(name, seed, index, label, answer) -> None:

@@ -22,6 +22,7 @@ from conftest import (
     random_int_constraint,
     random_monofunc,
     random_set,
+    range_of,
 )
 from fdlab import (
     Affine,
@@ -57,7 +58,6 @@ from fdlab.checkers import (
     check_domain,
 )
 from fdlab.constraints import real_defined
-from fdlab.domains import range_of
 from fdlab.engine import Model
 from fdlab.oracle import oracle_fixpoint, oracle_solutions, oracle_subset_sum
 

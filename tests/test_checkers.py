@@ -10,10 +10,13 @@ import pytest
 from conftest import (
     fresh_rng,
     make_vars,
+    member,
+    member_box,
     random_domain,
     random_int_constraint,
     random_monofunc,
     random_set,
+    range_of,
 )
 from fdlab import (
     AllDifferent,
@@ -39,7 +42,7 @@ from fdlab import (
 from fdlab import checkers
 from fdlab.checkers import ConsistencyNotion, _scan_linear_py
 from fdlab.constraints import real_defined, sat_int, sat_real, vars_of
-from fdlab.domains import Valuation, member, member_box, range_of
+from fdlab.domains import Valuation
 from fdlab.oracle import _real_support_exists, oracle_consistent
 
 X1, X2, X3 = make_vars(3)

@@ -1,7 +1,16 @@
 import pytest
 from fractions import Fraction
 
-from conftest import fresh_rng, make_vars, random_domain, random_int_constraint
+from conftest import (
+    fresh_rng,
+    is_range,
+    make_vars,
+    member,
+    member_box,
+    random_domain,
+    random_int_constraint,
+    range_of,
+)
 from fdlab import search
 from fdlab.checkers import ConsistencyNotion
 from fdlab.constraints import RealSemanticsUndefined, real_defined
@@ -16,10 +25,6 @@ from fdlab.domains import (
     Valuation,
     VarId,
     checked_int64,
-    is_range,
-    member,
-    member_box,
-    range_of,
 )
 
 

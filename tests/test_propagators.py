@@ -9,6 +9,7 @@ import fdlab.propagators
 from conftest import (
     fresh_rng,
     make_vars,
+    member_box,
     random_domain,
     random_int_constraint,
     random_linear,
@@ -36,7 +37,7 @@ from fdlab import (
 )
 from fdlab.checkers import ConsistencyNotion, _window, check, closed_form, support
 from fdlab.constraints import UNDEFINED, AllDifferent, real_defined, sat_real, vars_of
-from fdlab.domains import INT64_MAX, INT64_MIN, member_box
+from fdlab.domains import INT64_MAX, INT64_MIN
 from fdlab.oracle import _real_support_exists, oracle_fixpoint
 from fdlab.propagators import Propagator
 
@@ -285,21 +286,17 @@ def _record_queries(monkeypatch):
     (for bounds(R), a box of positive length)."""
     seen = []
 
-    def record(name, others_free):
+    def record(name):
         fn = getattr(fdlab.propagators, name)
 
-        def recorded(*args):
-            seen.append(others_free(*args))
-            return fn(*args)
+        def recorded(c, var, value, cands, *rest):
+            seen.append(any(len(cands(w)) > 1 for w in c.scope if w != var))
+            return fn(c, var, value, cands, *rest)
 
         monkeypatch.setattr(fdlab.propagators, name, recorded)
 
-    record("_find_int_support", lambda c, var, value, cands: any(
-        len(cands(w)) > 1 for w in c.scope if w != var
-    ))
-    record("_real_support", lambda d, c, var, value: any(
-        d.inf(w) < d.sup(w) for w in c.scope if w != var
-    ))
+    record("_find_int_support")
+    record("_real_support")
     return seen
 
 
@@ -568,6 +565,41 @@ def test_compiled_propagators_equal_peeling_and_the_oracle():
                     for v in sorted(c.scope)]
             assert got.pruned == tuple((v, gone) for v, gone in lost if gone), (c, d, notion)
     assert all(seen.values()), seen
+
+
+def test_a_run_that_changes_the_domain_builds_one_domain(monkeypatch):
+    # Every class at every notion it allows: the searches read the run's own
+    # lists, so a run builds its result's `Domain` once, and a run that
+    # changes nothing (or fails) builds none.  The first two cases narrow a
+    # variable at bounds(R) and revise again after it: x1 = 2*x2 with two
+    # free variables, and x + y != 6 with one.
+    built = []
+    init = Domain.__init__
+
+    def counted(self, sets):
+        built.append(sets)
+        init(self, sets)
+
+    x, y = make_vars(2)
+    ne = LinNe((LinTerm(1, x), LinTerm(1, y)), 6)
+    cases = [
+        (MonoBij(x, Affine(2, 0), y), Domain((IntSet.interval(0, 10), IntSet.interval(0, 2)))),
+        (ne, Domain((IntSet.interval(3, 5), IntSet.of([1])))),
+    ]
+    rng = fresh_rng(47)
+    cases += [_random_case(rng)[:2] for _ in range(1500)]
+    monkeypatch.setattr(Domain, "__init__", counted)
+    changed = set()
+    for i, (c, d) in enumerate(cases):
+        for notion in NOTIONS if c.real else NOTIONS[:3]:
+            built.clear()
+            res = propagate(d, c, notion)
+            assert len(built) == bool(res.pruned), (c, d, notion)
+            if i < 2 and notion is ConsistencyNotion.BOUNDS_R:
+                assert len(res.pruned) == 1, c
+            if res.pruned:
+                changed.add((type(c), notion))
+    assert len(changed) == 6 * 4 + 3 * 3
 
 
 def test_product_revise_keeps_both_sides_of_a_gap():
