@@ -199,6 +199,8 @@ def cmd_reduce_subsetsum(args) -> int:
 
 def cmd_bench(args) -> int:
     corpus = Path(args.corpus)
+    if not corpus.is_dir():
+        raise NotADirectoryError(f"corpus is not a directory: {corpus}")  # main exits 2
     notions = (
         [ConsistencyNotion(n) for n in args.notions]
         if args.notions

@@ -7,9 +7,15 @@ which is what makes exact bound checking expensive in general.
 is_monotonic classifies each variable of a real-defined constraint as
 monotone under the numeric order `<`, under `>`, or not monotone, judged
 over the boxes of the domain passed in.  Verdicts come from exact closed
-forms; refute_monotone attaches counterexample pairs to "not monotone"
-verdicts, sampling the integers and half-integers nearest each box's ends
-in at most `cap` loop steps and `sat_real` calls per variable and order.
+forms, most of them from one rule on a variable's box [l, u]: a forbidden
+point (of `!=`, of alldifferent) that a solution can put in [l, u) breaks
+`<`, and one it can put in (l, u] breaks `>`; a value the others fix (of
+`=`, x1 of x1 = g(x2), the least x3 of x1*x2 <= x3) breaks them the other
+way round.  Alldifferent is judged in quadratic time: each variable is one
+pass over the other boxes.  refute_monotone attaches counterexample pairs
+to "not monotone" verdicts, sampling the integers and half-integers nearest
+each box's ends in at most `cap` loop steps and `sat_real` calls per
+variable and order.
 """
 
 from __future__ import annotations
@@ -136,86 +142,50 @@ def _pinned_range(
     return (lo, hi) if t.coeff > 0 else (hi, lo)
 
 
-def _verdict(lt_ok: bool, gt_ok: bool) -> VarMonotonicity:
-    if lt_ok:
+def _verdict(breaks_lt: bool, breaks_gt: bool) -> VarMonotonicity:
+    if not breaks_lt:
         return VarMonotonicity.LT
-    if gt_ok:
+    if not breaks_gt:
         return VarMonotonicity.GT
     return VarMonotonicity.NOT_MONOTONE
 
 
-def _determined_verdict(l: int, u: int, lo, hi) -> VarMonotonicity:
-    """Verdict for a variable with box [l, u] whose value in a solution the
-    others fix within [lo, hi]: monotone unless that span meets the box
-    elsewhere than at one end (missing it, no solution touches the box)."""
+def _lands(l: int, u: int, lo, hi) -> tuple[bool, bool]:
+    """Can a point of [lo, hi] land in [l, u), and in (l, u]?"""
     a, b = max(l, lo), min(u, hi)
-    if a > b or a == b == l:
-        return VarMonotonicity.LT
-    if a == b == u:
-        return VarMonotonicity.GT
-    return VarMonotonicity.NOT_MONOTONE
+    return a <= b and a < u, a <= b and b > l
 
 
-def _lineq_verdicts(c: LinEq, d: Domain) -> dict[VarId, VarMonotonicity]:
+def _point_verdict(l: int, u: int, lo, hi, fixed: bool) -> VarMonotonicity:
+    """Verdict for a variable with box [l, u] whose one forbidden point (or,
+    if `fixed`, whose value) the others put anywhere in [lo, hi]: the point
+    breaks `<` in [l, u) and `>` in (l, u], the value the other way round."""
+    below, above = _lands(l, u, lo, hi)
+    return _verdict(above, below) if fixed else _verdict(below, above)
+
+
+def _linear_verdicts(c: LinEq | LinNe, d: Domain) -> dict[VarId, VarMonotonicity]:
+    fixed = type(c) is LinEq
     return {
-        t.var: _determined_verdict(d.inf(t.var), d.sup(t.var), *_pinned_range(c, d, t))
+        t.var: _point_verdict(d.inf(t.var), d.sup(t.var), *_pinned_range(c, d, t), fixed)
         for t in c.terms
     }
 
 
-def _linne_verdicts(c: LinNe, d: Domain) -> dict[VarId, VarMonotonicity]:
-    out = {}
-    for t in c.terms:
-        v = t.var
-        vlo, vhi = _pinned_range(c, d, t)
-        li, ui = Fraction(d.inf(v)), Fraction(d.sup(v))
-        # forbidden points sweep [vlo, vhi]; monotone iff they miss the
-        # half-open sliding range
-        lt_ok = not (max(vlo, li) <= min(vhi, ui) and max(vlo, li) < ui)
-        gt_ok = not (max(vlo, li) <= min(vhi, ui) and min(vhi, ui) > li)
-        out[v] = _verdict(lt_ok, gt_ok)
-    return out
-
-
 def _alldiff_verdicts(c: AllDifferent, d: Domain) -> dict[VarId, VarMonotonicity]:
-    boxes = {v: (d.inf(v), d.sup(v)) for v in c.vars}
-    point_vals = [l for (l, u) in boxes.values() if l == u]
-    if len(set(point_vals)) != len(point_vals):
+    """Each other x_j is a forbidden point of x_i, anywhere in its box: a
+    box of positive length avoids the others' finitely many points.  Where
+    it meets x_i's half-open interval in one point q that a third variable's
+    point box holds, x_j cannot take q, but that point box puts q there."""
+    boxes = [(v, d.inf(v), d.sup(v)) for v in c.vars]
+    points = [l for _, l, u in boxes if l == u]
+    if len(set(points)) != len(points):
         # two pinned variables coincide: no real solutions at all
-        return {v: VarMonotonicity.LT for v in c.vars}
+        return dict.fromkeys(c.vars, VarMonotonicity.LT)
     out = {}
-    for i in c.vars:
-        li, ui = boxes[i]
-
-        def blocked(j: VarId, p: int) -> bool:
-            others = {
-                boxes[k][0]
-                for k in c.vars
-                if k not in (i, j) and boxes[k][0] == boxes[k][1]
-            }
-            return p in others
-
-        viol_lt = False
-        viol_gt = False
-        for j in c.vars:
-            if j == i:
-                continue
-            lj, uj = boxes[j]
-            # order <: a solution may place x_j inside [li, ui)
-            lo_a = max(lj, li)
-            if lo_a <= uj and lo_a < ui:
-                single = uj < ui and lo_a == uj
-                if not single or not blocked(j, uj):
-                    viol_lt = True
-            # order >: a solution may place x_j inside (li, ui]
-            hi_a = min(uj, ui)
-            if hi_a >= lj and hi_a > li:
-                single = lj > li and lj == hi_a
-                if not single or not blocked(j, lj):
-                    viol_gt = True
-            if viol_lt and viol_gt:
-                break
-        out[i] = _verdict(not viol_lt, not viol_gt)
+    for i, li, ui in boxes:
+        lands = [_lands(li, ui, lj, uj) for j, lj, uj in boxes if j != i]
+        out[i] = _verdict(*map(any, zip(*lands)))
     return out
 
 
@@ -245,15 +215,15 @@ def _product_verdicts(c: ProductLe, d: Domain) -> dict[VarId, VarMonotonicity]:
                 (F(-hi_s), F(-l3), True),
             ],
         )
-        return _verdict(not viol_lt, not viol_gt)
+        return _verdict(viol_lt, viol_gt)
 
     products = [a * b for a in (l1, u1) for b in (l2, u2)]
-    pmin, pmax = min(products), max(products)
-    viol_lt_x3 = u3 > l3 and pmax > l3 and pmin <= u3
+    # x1*x2 fixes the least x3 of a solution, which breaks only `<`
+    _, breaks_lt = _lands(l3, u3, min(products), max(products))
     return {
         c.x1: factor_verdict(l1, u1, l2, u2),
         c.x2: factor_verdict(l2, u2, l1, u1),
-        c.x3: _verdict(not viol_lt_x3, True),
+        c.x3: _verdict(breaks_lt, False),
     }
 
 
@@ -271,18 +241,14 @@ def _monobij_verdicts(c: MonoBij, d: Domain) -> dict[VarId, VarMonotonicity]:
     def mem(v: int) -> bool:
         return l2p <= v <= u2 and l1 <= g(v) <= u1
 
-    if j_empty:
-        v2 = VarMonotonicity.LT
-    else:
-        viol_lt = (
-            l2p > l2
-            or not mem(l2)
-            or (u2 > l2 and (g(l2) < u1 if inc else g(l2) > l1))
-        )
-        viol_gt = not mem(u2) or (l2p < u2 and (g(u2) > l1 if inc else g(u2) < u1))
-        v2 = _verdict(not viol_lt, not viol_gt)
-
-    return {c.x1: _determined_verdict(l1, u1, gmin, gmax), c.x2: v2}
+    viol_lt = not j_empty and (
+        l2p > l2 or not mem(l2) or (u2 > l2 and (g(l2) < u1 if inc else g(l2) > l1))
+    )
+    viol_gt = not mem(u2) or (l2p < u2 and (g(u2) > l1 if inc else g(u2) < u1))
+    return {
+        c.x1: _point_verdict(l1, u1, gmin, gmax, fixed=True),
+        c.x2: _verdict(viol_lt, viol_gt),
+    }
 
 
 def refute_monotone(
@@ -333,27 +299,23 @@ def refute_monotone(
     return None
 
 
+_VERDICTS = {
+    LinLe: lambda c, d: {
+        t.var: VarMonotonicity.LT if t.coeff > 0 else VarMonotonicity.GT for t in c.terms
+    },
+    LinEq: _linear_verdicts,
+    LinNe: _linear_verdicts,
+    AllDifferent: _alldiff_verdicts,
+    ProductLe: _product_verdicts,
+    MonoBij: _monobij_verdicts,
+}
+
+
 def is_monotonic(c: Constraint, d: Domain) -> MonotonicityReport:
     """Per-variable monotonicity verdicts over d's boxes."""
-    if not real_defined(c):
+    if type(c) not in _VERDICTS:
         raise RealSemanticsUndefined(f"{type(c).__name__} has no real semantics")
-    if isinstance(c, LinLe):
-        verdicts = {
-            t.var: VarMonotonicity.LT if t.coeff > 0 else VarMonotonicity.GT
-            for t in c.terms
-        }
-    elif isinstance(c, LinEq):
-        verdicts = _lineq_verdicts(c, d)
-    elif isinstance(c, LinNe):
-        verdicts = _linne_verdicts(c, d)
-    elif isinstance(c, AllDifferent):
-        verdicts = _alldiff_verdicts(c, d)
-    elif isinstance(c, ProductLe):
-        verdicts = _product_verdicts(c, d)
-    elif isinstance(c, MonoBij):
-        verdicts = _monobij_verdicts(c, d)
-    else:
-        raise RealSemanticsUndefined(f"{type(c).__name__} has no real semantics")
+    verdicts = _VERDICTS[type(c)](c, d)
     report = MonotonicityReport(verdicts)
     for v, verdict in verdicts.items():
         if verdict is VarMonotonicity.NOT_MONOTONE:

@@ -11,17 +11,22 @@ answers in a child process of its own, with its own `src/` and
   lifo, and `trace`;
 - solve-csp: `parse`, `solve` (solutions and stats), `propagate_all` at fifo
   and lifo, `trace`, and, for each constraint on the initial domain,
-  `propagate` at its own notion and `check` (verdict and witnesses) at each
-  notion its class allows;
+  `propagate` at its own notion, `check` (verdict and witnesses) at each
+  notion its class allows, and, for a real constraint, `is_monotonic`
+  (verdicts and counterexample pairs);
 - subsetsum-check: the request's answer and the full bounds(Z) `check`.
 
 Both checkouts also parse every file under this checkout's `models/` and
 `tests/hostile/`: the answer is the `Model`, or the line of the ParseError.
 For each constraint of a `models/*.model` file they answer `check` and
-`propagate` on the initial domain at all four notions; where bounds(R) is
-undefined, the answer is the class name of the exception raised.  The
-`check` answers at bounds(R) are the only ones that reach a real support
-search.
+`propagate` on the initial domain at all four notions, and `is_monotonic`;
+where the class has no real reading, the answer is the class name of the
+exception raised.  The `check` answers at bounds(R) are the only ones that
+reach a real support search.
+
+Last, at each seed, they answer `is_monotonic` on RANDOM_MONOTONE random
+real constraints of all six real classes over small boxes, alldifferent and
+linear ones of arity up to 6, some boxes points at another box's end.
 
 A child prints one SHA-256 digest of `repr` per answer; the script reports
 the first answer that differs, and exits 1 if any does.  It is not a test
@@ -33,11 +38,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
+RANDOM_MONOTONE = 2500  # random real constraints per seed for `is_monotonic`
 
 
 def _answers(fdlab, workloads, name: str, item):
@@ -55,6 +62,8 @@ def _answers(fdlab, workloads, name: str, item):
             for each in fdlab.ConsistencyNotion:
                 if c.real or each is not fdlab.ConsistencyNotion.BOUNDS_R:
                     yield f"check-{each.value}", fdlab.check(model.initial, c, each)
+            if c.real:
+                yield "monotone", fdlab.is_monotonic(c, model.initial)
     else:
         _, domain, constraint = item
         yield "request", workloads.WORKLOADS[name]().request(item)
@@ -101,6 +110,59 @@ def emit(root: Path, seeds: list[int]) -> None:
                         answer = type(e).__name__
                     label = f"{verb.__name__}-{notion.value}"
                     _print("files", "-", path.relative_to(HERE), label, answer)
+            answer = _monotone(fdlab, c, model.initial)
+            _print("files", "-", path.relative_to(HERE), "monotone", answer)
+    for seed in seeds:
+        rng = random.Random(seed)
+        for index in range(RANDOM_MONOTONE):
+            c, domain = _random_real(fdlab, rng)
+            _print("monotone", seed, index, "monotone", _monotone(fdlab, c, domain))
+
+
+def _monotone(fdlab, c, domain):
+    """`is_monotonic` of c over domain, or the exception's class name."""
+    try:
+        return fdlab.is_monotonic(c, domain)
+    except fdlab.RealSemanticsUndefined as e:
+        return type(e).__name__
+
+
+def _random_real(fdlab, rng: random.Random):
+    """A random real constraint of one of the six real classes over random
+    boxes of width 0 to 3 in [-4, 7]; a box is a point at an end of another
+    box one time in four."""
+    kind = rng.choice(["lineq", "linle", "linne", "alldifferent", "productle", "monobij"])
+    arity = {"productle": (3, 3), "monobij": (2, 2), "alldifferent": (2, 6)}
+    n = rng.randint(*arity.get(kind, (1, 6)))
+    vs = [fdlab.VarId(i, f"x{i}") for i in range(n)]
+    boxes = []
+    for _ in vs:
+        lo = rng.randint(-4, 4)
+        boxes.append((lo, lo + rng.randint(0, 3)))
+    for i in range(n):
+        if rng.random() < 0.25:
+            end = rng.choice(boxes[rng.randrange(n)])
+            boxes[i] = (end, end)
+    if kind == "monobij":
+        func = rng.choice([
+            fdlab.Affine(rng.choice([-3, -1, 1, 2]), rng.randint(-4, 4)),
+            fdlab.PowK(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3)),
+            fdlab.PowerSum3(),
+        ])
+        if func.nonneg:  # a model allows this g only on x2 >= 0
+            lo, hi = boxes[1]
+            boxes[1] = (abs(lo), abs(lo) + hi - lo)
+        c = fdlab.MonoBij(vs[0], func, vs[1])
+    elif kind == "productle":
+        c = fdlab.ProductLe(*vs)
+    elif kind == "alldifferent":
+        c = fdlab.AllDifferent(tuple(vs))
+    else:
+        cls = {"lineq": fdlab.LinEq, "linle": fdlab.LinLe, "linne": fdlab.LinNe}[kind]
+        terms = tuple(fdlab.LinTerm(rng.choice([-3, -2, -1, 1, 2, 3]), v) for v in vs)
+        c = cls(terms, rng.randint(-8, 8))
+    domain = fdlab.Domain(tuple(fdlab.IntSet.interval(lo, hi) for lo, hi in boxes))
+    return c, domain
 
 
 def _print(name, seed, index, label, answer) -> None:

@@ -269,6 +269,15 @@ def test_bench_empty_corpus(tmp_path, capsys):
     assert out == "instance,notion,nodes,failures,solutions,pruned,micros\n"
 
 
+@pytest.mark.parametrize("name", ["no-such-dir", "example1.model"])
+def test_bench_on_a_path_that_is_not_a_directory_exits_two(tmp_path, capsys, example1, name):
+    path = tmp_path / name  # a missing path, or a model file
+    code, out, err = run(capsys, "bench", str(path))
+    assert code == 2
+    assert err == f"error: corpus is not a directory: {path}\n"
+    assert out == ""  # not a header-only CSV
+
+
 def test_bench_notion_filter(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

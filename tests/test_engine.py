@@ -247,3 +247,22 @@ def test_model_validation():
             [("x", IntSet.of([0, 4])), ("y", IntSet.of([-2, 1]))],
             [(MonoBij(x, PowK(1, 2), y), N.BOUNDS_Z)],
         )
+
+
+def test_rules_that_only_the_api_can_break():
+    # the parser cannot write these inputs, so only a direct call checks them
+    x = VarId(0, "x")
+    with pytest.raises(ValueError, match="linear constraint needs at least one term"):
+        LinEq((), 0)
+    with pytest.raises(ValueError, match="reified linear constraint needs at least one term"):
+        ReifLinLe(x, (), 0)
+    x_in = [("x", IntSet.of([0]))]
+    with pytest.raises(ModelError, match="variable names must be non-empty"):
+        Model((VarId(0, ""),), Domain((IntSet.of([0]),)), ())
+    with pytest.raises(ModelError, match="domain arity does not match variable count"):
+        Model((x,), Domain((IntSet.of([0]), IntSet.of([1]))), ())
+    c = (LinLe((LinTerm(1, x),), 0), N.DOMAIN)
+    with pytest.raises(ModelError, match="constraint label arity mismatch"):
+        Model.build(x_in, [c], labels=["a", "b"])
+    with pytest.raises(ModelError, match="constraint labels must be unique"):
+        Model.build(x_in, [c, c], labels=["a", "a"])

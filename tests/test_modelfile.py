@@ -90,9 +90,23 @@ def test_negative_coefficient_first_term():
     assert "lineq -2*x + 1*y = 0" in print_model(m)
 
 
+_XY = "var x in [0,1]\nvar y in [0,1]\nconstraint c1: "
+# a constraint on line 3 that breaks one input rule, and the rule's message
+_RULES = {
+    _XY + "lineq 1*x * 2*y = 0\n": "expected + or -, got '*'",
+    _XY + "linle 2y <= 0\n": "bad linear term '2y'",
+    _XY + "monobij x = sqrt(1,2) y\n": "bad function 'sqrt(1,2)'",
+    _XY + "table x (1)\n": "table needs ':' between variables and rows",
+    _XY + "table : (1)\n": "table needs at least one variable",
+    _XY + "monobij x = pow(0,2) y\n": "power scale must be non-zero",
+    _XY + "monobij x = pow(1,0) y\n": "power exponent must be >= 1",
+}
+
+
 @pytest.mark.parametrize(
     "text,line",
     [
+        *((text, 3) for text in _RULES),
         ("var x in [3,1]\n", 1),
         ("var x in 0..5\n", 1),
         ("var x in {1,1}\n", 1),
@@ -154,6 +168,7 @@ _MESSAGES = {
     "var x in {1,,2}\n": "bad value set '{1,,2}'",
     "var x in [a,3]\n": "bad value set '[a,3]'",
     "var x in [0,1]\nvar y in {1, 2,x}\n": "bad value set '{1, 2,x}'",
+    **_RULES,
 }
 
 

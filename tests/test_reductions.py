@@ -34,6 +34,7 @@ from fdlab.checkers import (
 from fdlab.constraints import sat_int, sat_real
 from fdlab.domains import Valuation
 from fdlab.oracle import oracle_subset_sum
+from work_meter import count
 
 LT, GT, NONE = (
     VarMonotonicity.LT,
@@ -165,6 +166,17 @@ class TestMonotonicityVerdicts:
         rep = is_monotonic(c, box((0, 3), (0, 3)))
         assert rep.monotone
 
+    def test_alldifferent_verdicts_grow_quadratically(self, monkeypatch):
+        # opcodes, not time: doubling n may at most quintuple the work
+        monkeypatch.setattr("fdlab.reductions.refute_monotone", lambda *args: None)
+
+        def opcodes(n):
+            boxes = [(0, 1)] * (n // 2) + [(1, 5)] * (n // 2 - 1) + [(1, 1)]
+            c = AllDifferent(tuple(make_vars(n)))
+            return count(is_monotonic, c, box(*boxes))[0]
+
+        assert opcodes(80) <= 5 * opcodes(40)
+
     def test_integer_only_constraints_are_rejected(self):
         x1, x2, x3 = make_vars(3)
         with pytest.raises(RealSemanticsUndefined):
@@ -250,6 +262,11 @@ class TestRefuter:
         ))
         rep = is_monotonic(c, d)
         assert rep.verdicts == {x1: NONE, x2: NONE}
+
+    def test_refuter_takes_only_an_order(self):
+        x1, x2 = make_vars(2)
+        with pytest.raises(ValueError, match="order must be LT or GT"):
+            refute_monotone(AllDifferent((x1, x2)), box((0, 3), (0, 3)), x1, NONE)
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_a_cap_below_one_samples_nothing(self, cap):
